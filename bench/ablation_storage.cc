@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "bench_main.h"
@@ -44,12 +45,25 @@ size_t EnvSize(const char* name, size_t fallback) {
   return static_cast<size_t>(std::strtoull(v, nullptr, 10));
 }
 
+/// Directory the stored voter table lives in, removed at exit (the
+/// database reading it is never torn down, so this runs after its last
+/// use).
+struct StorageDir {
+  std::string path;
+  ~StorageDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+} g_storage_dir;
+
 /// Voter table persisted once, then reopened stored-backed: every scan in
 /// the benchmarks below goes through block files and the buffer pool.
 Database& StoredDb() {
   static Database* db = [] {
-    std::string dir =
-        "/tmp/mlcs_abl_storage_" + std::to_string(::getpid());
+    std::string dir = (std::filesystem::temp_directory_path() /
+                       ("mlcs_abl_storage_" + std::to_string(::getpid())))
+                          .string();
+    g_storage_dir.path = dir;
     {
       Database writer;
       io::VoterDataOptions opt;

@@ -10,17 +10,21 @@
 ///   MLCS_FIG1_COLS       voter columns     (default 96, as in the paper)
 ///   MLCS_FIG1_PRECINCTS  precincts         (default 2751, as in the paper)
 ///   MLCS_FIG1_TREES      n_estimators      (default 8)
-///   MLCS_FIG1_REPS       repetitions; the min-total run is reported
-///                        (default 3)
+///   MLCS_FIG1_REPS       repetitions; the run with the median total is
+///                        reported (default 3)
+///
+/// File inputs are staged in a fresh directory under the system temp
+/// directory (TMPDIR), removed when the benchmark exits.
 ///
 /// Expected shape (paper §4): the in-database channel is fastest with an
 /// order-of-magnitude lower wrangling share; binary files (npy, h5b) load
 /// fast but stay slower overall; CSV is comparable to socket transfer;
 /// the socket channels are the slowest.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
-#include <sys/stat.h>
 #include <vector>
 
 #include "client/server.h"
@@ -44,21 +48,45 @@ size_t EnvSize(const char* name, size_t fallback) {
 size_t g_reps = 1;
 std::vector<mlcs::pipeline::PipelineResult> g_results;
 
-/// Runs a channel g_reps times and keeps the fastest run (min total) —
-/// standard practice to suppress scheduler noise on a busy host.
+/// Runs a channel g_reps times and keeps the run with the median total
+/// (the lower middle one for an even count), so one lucky or unlucky run
+/// cannot decide the ranking.
 template <typename Fn>
 mlcs::Result<mlcs::pipeline::PipelineResult> Repeated(Fn&& run) {
-  mlcs::Result<mlcs::pipeline::PipelineResult> best = run();
-  if (!best.ok()) return best;
-  for (size_t i = 1; i < g_reps; ++i) {
+  std::vector<mlcs::pipeline::PipelineResult> runs;
+  for (size_t i = 0; i < std::max<size_t>(1, g_reps); ++i) {
     auto next = run();
-    if (!next.ok()) return next;
-    if (next.ValueOrDie().total_seconds < best.ValueOrDie().total_seconds) {
-      best = std::move(next);
-    }
+    if (!next.ok()) return next.status();
+    runs.push_back(std::move(next).ValueOrDie());
   }
-  return best;
+  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    return a.total_seconds < b.total_seconds;
+  });
+  return std::move(runs[(runs.size() - 1) / 2]);
 }
+
+/// Scratch directory for the staged file inputs; removed on every exit
+/// path out of main.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string templ =
+        (std::filesystem::temp_directory_path() / "mlcs_fig1_XXXXXX")
+            .string();
+    if (mkdtemp(templ.data()) != nullptr) path_ = templ;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 void PrintRow(const mlcs::pipeline::PipelineResult& r) {
   std::printf("%-28s %12.3f %10.3f %11.3f %11.3f %8.4f\n",
@@ -129,12 +157,17 @@ int main() {
 
   // Stage the external inputs (write time is not part of any bar — the
   // paper's files pre-exist on disk).
-  std::string dir = "/tmp/mlcs_fig1";
-  mkdir(dir.c_str(), 0755);
+  ScratchDir scratch;
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "cannot create a scratch directory\n");
+    return 1;
+  }
+  const std::string& dir = scratch.path();
   std::string voters_npy = dir + "/voters_npy";
   std::string precincts_npy = dir + "/precincts_npy";
-  mkdir(voters_npy.c_str(), 0755);
-  mkdir(precincts_npy.c_str(), 0755);
+  std::error_code ec;
+  std::filesystem::create_directories(voters_npy, ec);
+  std::filesystem::create_directories(precincts_npy, ec);
 
   auto voters = io::GenerateVoters(config.data);
   auto precincts = io::GeneratePrecincts(config.data);

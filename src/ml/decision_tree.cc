@@ -27,24 +27,21 @@ Status DecisionTree::Fit(const Matrix& x, const Labels& y) {
   return FitSource(TrainingSource::FromMatrix(x), y);
 }
 
-Status DecisionTree::FitOnRows(const Matrix& x, const Labels& y,
-                               const std::vector<uint32_t>& rows,
-                               const std::vector<int32_t>& class_set) {
-  return FitSourceOnRows(TrainingSource::FromMatrix(x), y, rows, class_set);
-}
-
 Status DecisionTree::FitSource(const TrainingSource& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
+  std::vector<int32_t> class_set = internal::DistinctClasses(y);
+  MLCS_ASSIGN_OR_RETURN(std::vector<uint32_t> codes,
+                        internal::ClassCodes(class_set, y));
   std::vector<uint32_t> rows(x.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  MLCS_RETURN_IF_ERROR(
-      FitSourceOnRows(x, y, rows, internal::DistinctClasses(y)));
+  MLCS_RETURN_IF_ERROR(FitSourceOnRows(x, codes, std::move(rows), class_set));
   CountTrainingSourceFit(x);
   return Status::OK();
 }
 
-Status DecisionTree::FitSourceOnRows(const TrainingSource& x, const Labels& y,
-                                     const std::vector<uint32_t>& rows,
+Status DecisionTree::FitSourceOnRows(const TrainingSource& x,
+                                     const std::vector<uint32_t>& codes,
+                                     std::vector<uint32_t> rows,
                                      const std::vector<int32_t>& class_set) {
   if (rows.empty()) {
     return Status::InvalidArgument("cannot fit a tree on zero rows");
@@ -52,13 +49,16 @@ Status DecisionTree::FitSourceOnRows(const TrainingSource& x, const Labels& y,
   if (class_set.empty()) {
     return Status::InvalidArgument("empty class set");
   }
+  if (codes.size() != x.rows()) {
+    return Status::InvalidArgument("class code count does not match rows");
+  }
   classes_ = class_set;
   num_features_ = x.cols();
-  nodes_.clear();
+  tree_ = FlatForest(classes_.size());
+  tree_.BeginTree();
   feature_importances_.assign(num_features_, 0.0);
-  std::vector<uint32_t> work(rows);
   Rng rng(options_.seed);
-  BuildNode(x, y, work, /*depth=*/0, rng);
+  BuildNode(x, codes.data(), rows, /*depth=*/0, rng);
   double total = 0;
   for (double v : feature_importances_) total += v;
   if (total > 0) {
@@ -67,37 +67,32 @@ Status DecisionTree::FitSourceOnRows(const TrainingSource& x, const Labels& y,
   return Status::OK();
 }
 
-uint32_t DecisionTree::MakeLeaf(const Labels& y,
+uint32_t DecisionTree::MakeLeaf(const uint32_t* codes,
                                 const std::vector<uint32_t>& rows) {
-  Node node;
-  node.probs.assign(classes_.size(), 0.0f);
-  for (uint32_t r : rows) {
-    auto idx = internal::ClassIndex(classes_, y[r]);
-    if (idx.ok()) node.probs[idx.ValueOrDie()] += 1.0f;
-  }
+  std::vector<float> probs(classes_.size(), 0.0f);
+  for (uint32_t r : rows) probs[codes[r]] += 1.0f;
   float total = 0;
-  for (float p : node.probs) total += p;
+  for (float p : probs) total += p;
   if (total > 0) {
-    for (float& p : node.probs) p /= total;
+    for (float& p : probs) p /= total;
   }
-  nodes_.push_back(std::move(node));
-  return static_cast<uint32_t>(nodes_.size() - 1);
+  return tree_.AddLeaf(probs);
 }
 
-uint32_t DecisionTree::BuildNode(const TrainingSource& x, const Labels& y,
+uint32_t DecisionTree::BuildNode(const TrainingSource& x, const uint32_t* codes,
                                  std::vector<uint32_t>& rows, int depth,
                                  Rng& rng) {
   // Stopping conditions → leaf.
   bool pure = true;
   for (size_t i = 1; i < rows.size(); ++i) {
-    if (y[rows[i]] != y[rows[0]]) {
+    if (codes[rows[i]] != codes[rows[0]]) {
       pure = false;
       break;
     }
   }
   if (pure || depth >= options_.max_depth ||
       rows.size() < options_.min_samples_split) {
-    return MakeLeaf(y, rows);
+    return MakeLeaf(codes, rows);
   }
 
   // Candidate features (random subset for forests).
@@ -115,8 +110,8 @@ uint32_t DecisionTree::BuildNode(const TrainingSource& x, const Labels& y,
     features.resize(k);
   }
 
-  SplitResult best = FindBestSplit(x, y, rows, features);
-  if (!best.found) return MakeLeaf(y, rows);
+  SplitResult best = FindBestSplit(x, codes, rows, features);
+  if (!best.found) return MakeLeaf(codes, rows);
 
   // Partition rows (NaN → left).
   std::vector<uint32_t> left_rows, right_rows;
@@ -131,27 +126,24 @@ uint32_t DecisionTree::BuildNode(const TrainingSource& x, const Labels& y,
   }
   if (left_rows.size() < options_.min_samples_leaf ||
       right_rows.size() < options_.min_samples_leaf) {
-    return MakeLeaf(y, rows);
+    return MakeLeaf(codes, rows);
   }
   feature_importances_[best.feature] +=
       best.impurity_decrease * static_cast<double>(rows.size());
   rows.clear();
   rows.shrink_to_fit();  // free before recursing
 
-  Node node;
-  node.feature = static_cast<int32_t>(best.feature);
-  node.threshold = best.threshold;
-  nodes_.push_back(node);
-  uint32_t self = static_cast<uint32_t>(nodes_.size() - 1);
-  uint32_t left = BuildNode(x, y, left_rows, depth + 1, rng);
-  uint32_t right = BuildNode(x, y, right_rows, depth + 1, rng);
-  nodes_[self].left = left;
-  nodes_[self].right = right;
+  // Pre-order: children always land after their parent.
+  uint32_t self =
+      tree_.AddSplit(static_cast<int32_t>(best.feature), best.threshold);
+  uint32_t left = BuildNode(x, codes, left_rows, depth + 1, rng);
+  uint32_t right = BuildNode(x, codes, right_rows, depth + 1, rng);
+  tree_.SetChildren(self, left, right);
   return self;
 }
 
 DecisionTree::SplitResult DecisionTree::FindBestSplit(
-    const TrainingSource& x, const Labels& y,
+    const TrainingSource& x, const uint32_t* codes,
     const std::vector<uint32_t>& rows,
     const std::vector<size_t>& features) const {
   SplitResult best;
@@ -166,10 +158,7 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
     const uint32_t* keys = x.keys();
     size_t num_classes = classes_.size();
     key_counts.assign(x.num_keys() * num_classes, 0);
-    for (uint32_t r : rows) {
-      size_t cls = internal::ClassIndex(classes_, y[r]).ValueOr(0);
-      key_counts[keys[r] * num_classes + cls] += 1;
-    }
+    for (uint32_t r : rows) key_counts[keys[r] * num_classes + codes[r]] += 1;
   }
   for (size_t f : features) {
     SplitResult cand;
@@ -179,8 +168,8 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
                  : BestSplitHistogramAgg(x.lut(f), key_counts, f);
     } else {
       FeatureView col = x.view(f);
-      cand = options_.exact_splits ? BestSplitExact(col, y, rows, f)
-                                   : BestSplitHistogram(col, y, rows, f);
+      cand = options_.exact_splits ? BestSplitExact(col, codes, rows, f)
+                                   : BestSplitHistogram(col, codes, rows, f);
     }
     if (cand.found &&
         (!best.found || cand.impurity_decrease > best.impurity_decrease)) {
@@ -233,7 +222,7 @@ DecisionTree::SplitResult DecisionTree::ScanHistogram(
 }
 
 DecisionTree::SplitResult DecisionTree::BestSplitHistogram(
-    const FeatureView& col, const Labels& y,
+    const FeatureView& col, const uint32_t* codes,
     const std::vector<uint32_t>& rows, size_t feature) const {
   SplitResult out;
   double lo = std::numeric_limits<double>::infinity();
@@ -259,9 +248,7 @@ DecisionTree::SplitResult DecisionTree::BestSplitHistogram(
     } else {
       bin = std::min(bins - 1, static_cast<size_t>((v - lo) * scale));
     }
-    size_t cls = static_cast<size_t>(
-        internal::ClassIndex(classes_, y[r]).ValueOr(0));
-    counts[bin * num_classes + cls] += 1.0;
+    counts[bin * num_classes + codes[r]] += 1.0;
   }
   return ScanHistogram(counts, bins, lo, hi, feature);
 }
@@ -396,7 +383,7 @@ DecisionTree::SplitResult DecisionTree::BestSplitExactAgg(
 }
 
 DecisionTree::SplitResult DecisionTree::BestSplitExact(
-    const FeatureView& col, const Labels& y,
+    const FeatureView& col, const uint32_t* codes,
     const std::vector<uint32_t>& rows, size_t feature) const {
   SplitResult out;
   // Sort rows by feature value; NaN first (they route left).
@@ -410,16 +397,13 @@ DecisionTree::SplitResult DecisionTree::BestSplitExact(
 
   size_t num_classes = classes_.size();
   std::vector<double> total_counts(num_classes, 0.0);
-  for (uint32_t r : sorted) {
-    total_counts[internal::ClassIndex(classes_, y[r]).ValueOr(0)] += 1.0;
-  }
+  for (uint32_t r : sorted) total_counts[codes[r]] += 1.0;
   double total = static_cast<double>(sorted.size());
   double parent_impurity = Gini(total_counts, total);
 
   std::vector<double> left_counts(num_classes, 0.0);
   for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-    left_counts[internal::ClassIndex(classes_, y[sorted[i]]).ValueOr(0)] +=
-        1.0;
+    left_counts[codes[sorted[i]]] += 1.0;
     double v = col[sorted[i]];
     double next = col[sorted[i + 1]];
     // A valid boundary needs distinct adjacent values (NaNs sit at the
@@ -447,42 +431,10 @@ DecisionTree::SplitResult DecisionTree::BestSplitExact(
   return out;
 }
 
-size_t DecisionTree::WalkToLeaf(const Matrix& x, size_t row) const {
-  size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    double v = x.At(row, static_cast<size_t>(nodes_[node].feature));
-    node = (std::isnan(v) || v <= nodes_[node].threshold)
-               ? nodes_[node].left
-               : nodes_[node].right;
-  }
-  return node;
-}
-
 Result<Labels> DecisionTree::Predict(const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
-  Labels out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(x, r)].probs;
-    size_t best = 0;
-    for (size_t c = 1; c < probs.size(); ++c) {
-      if (probs[c] > probs[best]) best = c;
-    }
-    out[r] = classes_[best];
-  }
-  return out;
-}
-
-Result<std::vector<std::vector<double>>> DecisionTree::PredictDistribution(
-    const Matrix& x) const {
-  MLCS_RETURN_IF_ERROR(
-      internal::CheckPredictInputs(x, num_features_, fitted()));
-  std::vector<std::vector<double>> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(x, r)].probs;
-    out[r].assign(probs.begin(), probs.end());
-  }
-  return out;
+  return tree_.Predict(x, classes_);
 }
 
 Result<std::vector<double>> DecisionTree::PredictProba(const Matrix& x,
@@ -490,25 +442,14 @@ Result<std::vector<double>> DecisionTree::PredictProba(const Matrix& x,
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   MLCS_ASSIGN_OR_RETURN(size_t cls_idx, internal::ClassIndex(classes_, cls));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = nodes_[WalkToLeaf(x, r)].probs[cls_idx];
-  }
-  return out;
+  return tree_.PredictProba(x, cls_idx);
 }
 
 Result<std::vector<double>> DecisionTree::PredictConfidence(
     const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(x, r)].probs;
-    float best = 0;
-    for (float p : probs) best = std::max(best, p);
-    out[r] = best;
-  }
-  return out;
+  return tree_.PredictConfidence(x);
 }
 
 std::string DecisionTree::ParamsString() const {
@@ -531,14 +472,18 @@ void DecisionTree::Serialize(ByteWriter* writer) const {
   writer->WriteVarint(num_features_);
   writer->WriteVarint(feature_importances_.size());
   for (double v : feature_importances_) writer->WriteDouble(v);
-  writer->WriteVarint(nodes_.size());
-  for (const auto& node : nodes_) {
+  writer->WriteVarint(tree_.num_nodes());
+  for (size_t i = 0; i < tree_.num_nodes(); ++i) {
+    const FlatNode& node = tree_.node(i);
+    bool leaf = node.feature < 0;
     writer->WriteI32(node.feature);
     writer->WriteDouble(node.threshold);
-    writer->WriteU32(node.left);
-    writer->WriteU32(node.right);
-    writer->WriteVarint(node.probs.size());
-    for (float p : node.probs) writer->WriteDouble(p);
+    writer->WriteU32(leaf ? 0 : node.left);
+    writer->WriteU32(leaf ? 0 : node.right);
+    writer->WriteVarint(leaf ? classes_.size() : 0);
+    if (!leaf) continue;
+    const float* probs = tree_.leaf_probs(node);
+    for (size_t c = 0; c < classes_.size(); ++c) writer->WriteDouble(probs[c]);
   }
 }
 
@@ -557,6 +502,8 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(options.seed, reader->ReadU64());
   auto tree = std::make_unique<DecisionTree>(options);
   MLCS_ASSIGN_OR_RETURN(uint64_t num_classes, reader->ReadVarint());
+  MLCS_RETURN_IF_ERROR(
+      internal::CheckCount(*reader, num_classes, sizeof(int32_t), "classes"));
   tree->classes_.resize(num_classes);
   for (auto& c : tree->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
@@ -564,28 +511,59 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(uint64_t nf, reader->ReadVarint());
   tree->num_features_ = nf;
   MLCS_ASSIGN_OR_RETURN(uint64_t num_importances, reader->ReadVarint());
+  MLCS_RETURN_IF_ERROR(internal::CheckCount(*reader, num_importances,
+                                            sizeof(double), "importances"));
   tree->feature_importances_.resize(num_importances);
   for (auto& v : tree->feature_importances_) {
     MLCS_ASSIGN_OR_RETURN(v, reader->ReadDouble());
   }
   MLCS_ASSIGN_OR_RETURN(uint64_t num_nodes, reader->ReadVarint());
-  tree->nodes_.resize(num_nodes);
-  for (auto& node : tree->nodes_) {
-    MLCS_ASSIGN_OR_RETURN(node.feature, reader->ReadI32());
-    MLCS_ASSIGN_OR_RETURN(node.threshold, reader->ReadDouble());
-    MLCS_ASSIGN_OR_RETURN(node.left, reader->ReadU32());
-    MLCS_ASSIGN_OR_RETURN(node.right, reader->ReadU32());
+  // feature + threshold + left + right + a one-byte probability count.
+  constexpr size_t kMinNodeBytes = 4 + 8 + 4 + 4 + 1;
+  MLCS_RETURN_IF_ERROR(
+      internal::CheckCount(*reader, num_nodes, kMinNodeBytes, "nodes"));
+  if (num_nodes == 0 && num_classes > 0) {
+    return Status::ParseError("corrupt tree: fitted tree has no nodes");
+  }
+  // Load-time invariants of the predict kernel (flat_forest.h): nodes stay
+  // in pre-order, so a valid child index is always past its parent's — this
+  // rules out cycles and unbounded walks — and every split feature exists.
+  tree->tree_ = FlatForest(num_classes);
+  tree->tree_.BeginTree();
+  std::vector<float> probs;
+  for (uint64_t i = 0; i < num_nodes; ++i) {
+    MLCS_ASSIGN_OR_RETURN(int32_t feature, reader->ReadI32());
+    // Leaves carry no threshold; fit writes 0 there.
+    MLCS_ASSIGN_OR_RETURN(double threshold, reader->ReadDouble());
+    MLCS_ASSIGN_OR_RETURN(uint32_t left, reader->ReadU32());
+    MLCS_ASSIGN_OR_RETURN(uint32_t right, reader->ReadU32());
     MLCS_ASSIGN_OR_RETURN(uint64_t np, reader->ReadVarint());
-    node.probs.resize(np);
-    for (auto& p : node.probs) {
+    if (feature >= 0) {
+      if (static_cast<uint64_t>(feature) >= nf) {
+        return Status::ParseError("corrupt tree: split feature out of range");
+      }
+      if (left <= i || right <= i || left >= num_nodes ||
+          right >= num_nodes) {
+        return Status::ParseError(
+            "corrupt tree: child index not after its parent or out of range");
+      }
+      if (np != 0) {
+        return Status::ParseError("corrupt tree: split node has probabilities");
+      }
+      uint32_t self = tree->tree_.AddSplit(feature, threshold);
+      tree->tree_.SetChildren(self, left, right);
+      continue;
+    }
+    if (np != num_classes) {
+      return Status::ParseError(
+          "corrupt tree: leaf distribution size differs from class count");
+    }
+    probs.resize(np);
+    for (auto& p : probs) {
       MLCS_ASSIGN_OR_RETURN(double d, reader->ReadDouble());
       p = static_cast<float>(d);
     }
-    // Bounds-check child indices against the node array.
-    if (node.feature >= 0 &&
-        (node.left >= num_nodes || node.right >= num_nodes)) {
-      return Status::ParseError("corrupt tree: child index out of range");
-    }
+    tree->tree_.AddLeaf(probs);
   }
   return tree;
 }

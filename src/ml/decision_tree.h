@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "ml/flat_forest.h"
 #include "ml/model.h"
 #include "ml/training_source.h"
 
@@ -43,29 +44,28 @@ class DecisionTree : public Model {
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
 
-  /// Fits on a row subset with a pre-agreed class set — lets a random
-  /// forest bootstrap without copying the matrix and keeps every tree's
-  /// class-index space aligned.
-  Status FitOnRows(const Matrix& x, const Labels& y,
-                   const std::vector<uint32_t>& rows,
-                   const std::vector<int32_t>& class_set);
-
   /// Statistics-provider path (DESIGN.md §14): trains through a
   /// TrainingSource. Dimension features compute their split statistics as
   /// per-key class-count aggregates (one group-by below the join per node,
   /// shared across all factorized features) instead of per-row scans;
   /// results are bit-identical to Fit on the equivalent dense matrix.
   Status FitSource(const TrainingSource& x, const Labels& y);
-  Status FitSourceOnRows(const TrainingSource& x, const Labels& y,
-                         const std::vector<uint32_t>& rows,
+  /// Fits on a row subset (duplicates allowed: bootstrap draws) against
+  /// precomputed class codes (`codes[r]` indexes `class_set`, see
+  /// internal::ClassCodes) — lets a random forest bootstrap without copying
+  /// the source, share one code pass across its trees and keep every
+  /// tree's class-index space aligned. The tree depends only on the
+  /// multiset of rows, not their order; ascending order reads the columns
+  /// sequentially.
+  Status FitSourceOnRows(const TrainingSource& x,
+                         const std::vector<uint32_t>& codes,
+                         std::vector<uint32_t> rows,
                          const std::vector<int32_t>& class_set);
 
-  /// Class-index probability distribution for each row (num_classes per
-  /// row); the forest averages these across trees.
-  Result<std::vector<std::vector<double>>> PredictDistribution(
-      const Matrix& x) const;
-
-  size_t num_nodes() const { return nodes_.size(); }
+  size_t num_features() const { return num_features_; }
+  size_t num_nodes() const { return tree_.num_nodes(); }
+  /// The fitted tree in the predict kernel's layout (a forest of one).
+  const FlatForest& flat() const { return tree_; }
 
   /// Per-feature importance: total gini impurity decrease weighted by node
   /// size, normalized to sum to 1 (sklearn's feature_importances_).
@@ -80,14 +80,6 @@ class DecisionTree : public Model {
   const DecisionTreeOptions& options() const { return options_; }
 
  private:
-  struct Node {
-    int32_t feature = -1;  // -1 → leaf
-    double threshold = 0;
-    uint32_t left = 0;
-    uint32_t right = 0;
-    std::vector<float> probs;  // leaf only: class distribution
-  };
-
   struct SplitResult {
     bool found = false;
     size_t feature = 0;
@@ -95,15 +87,16 @@ class DecisionTree : public Model {
     double impurity_decrease = 0;
   };
 
-  uint32_t BuildNode(const TrainingSource& x, const Labels& y,
+  uint32_t BuildNode(const TrainingSource& x, const uint32_t* codes,
                      std::vector<uint32_t>& rows, int depth, Rng& rng);
-  SplitResult FindBestSplit(const TrainingSource& x, const Labels& y,
+  SplitResult FindBestSplit(const TrainingSource& x, const uint32_t* codes,
                             const std::vector<uint32_t>& rows,
                             const std::vector<size_t>& features) const;
-  SplitResult BestSplitHistogram(const FeatureView& col, const Labels& y,
+  SplitResult BestSplitHistogram(const FeatureView& col,
+                                 const uint32_t* codes,
                                  const std::vector<uint32_t>& rows,
                                  size_t feature) const;
-  SplitResult BestSplitExact(const FeatureView& col, const Labels& y,
+  SplitResult BestSplitExact(const FeatureView& col, const uint32_t* codes,
                              const std::vector<uint32_t>& rows,
                              size_t feature) const;
   /// Aggregate-statistics splitters for factorized features: derive the
@@ -121,13 +114,12 @@ class DecisionTree : public Model {
   /// splitters (`counts` is the [bin × class] histogram).
   SplitResult ScanHistogram(const std::vector<double>& counts, size_t bins,
                             double lo, double hi, size_t feature) const;
-  uint32_t MakeLeaf(const Labels& y, const std::vector<uint32_t>& rows);
-  size_t WalkToLeaf(const Matrix& x, size_t row) const;
+  uint32_t MakeLeaf(const uint32_t* codes, const std::vector<uint32_t>& rows);
 
   DecisionTreeOptions options_;
   std::vector<int32_t> classes_;
   size_t num_features_ = 0;
-  std::vector<Node> nodes_;
+  FlatForest tree_;
   std::vector<double> feature_importances_;
 };
 

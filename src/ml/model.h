@@ -73,6 +73,18 @@ std::vector<int32_t> DistinctClasses(const Labels& y);
 /// Index of `cls` in sorted `classes`, or error.
 Result<size_t> ClassIndex(const std::vector<int32_t>& classes, int32_t cls);
 
+/// ClassIndex of every label, computed once per fit so the tree learners
+/// count classes with an array lookup; error when a label is not in
+/// `classes`.
+Result<std::vector<uint32_t>> ClassCodes(const std::vector<int32_t>& classes,
+                                         const Labels& y);
+
+/// ParseError unless `count` elements of at least `min_bytes` each fit in
+/// what `reader` has left — checked before a deserializer sizes anything
+/// by a count read from untrusted bytes.
+Status CheckCount(const ByteReader& reader, uint64_t count, size_t min_bytes,
+                  const char* what);
+
 /// Shared validation for Fit inputs.
 Status CheckFitInputs(const Matrix& x, const Labels& y);
 /// Same checks against a statistics-provider source (training_source.h).

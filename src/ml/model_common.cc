@@ -39,6 +39,27 @@ Result<size_t> ClassIndex(const std::vector<int32_t>& classes, int32_t cls) {
   return static_cast<size_t>(it - classes.begin());
 }
 
+Result<std::vector<uint32_t>> ClassCodes(const std::vector<int32_t>& classes,
+                                         const Labels& y) {
+  std::vector<uint32_t> codes(y.size());
+  for (size_t r = 0; r < y.size(); ++r) {
+    MLCS_ASSIGN_OR_RETURN(size_t idx, ClassIndex(classes, y[r]));
+    codes[r] = static_cast<uint32_t>(idx);
+  }
+  return codes;
+}
+
+Status CheckCount(const ByteReader& reader, uint64_t count, size_t min_bytes,
+                  const char* what) {
+  if (count > reader.remaining() / min_bytes) {
+    return Status::ParseError("corrupt model: " + std::to_string(count) +
+                              " " + what + " cannot fit in " +
+                              std::to_string(reader.remaining()) +
+                              " remaining bytes");
+  }
+  return Status::OK();
+}
+
 Status CheckFitInputs(const Matrix& x, const Labels& y) {
   if (x.rows() == 0 || x.cols() == 0) {
     return Status::InvalidArgument("cannot fit on an empty matrix");

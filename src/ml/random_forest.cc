@@ -22,6 +22,8 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   }
   classes_ = internal::DistinctClasses(y);
   num_features_ = x.cols();
+  MLCS_ASSIGN_OR_RETURN(std::vector<uint32_t> codes,
+                        internal::ClassCodes(classes_, y));
 
   size_t max_features =
       options_.max_features != 0
@@ -57,13 +59,20 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
     Rng rng(tree_seeds[t] ^ 0xB0075E7ULL);
     std::vector<uint32_t> rows(n);
     if (options_.bootstrap) {
-      for (size_t i = 0; i < n; ++i) {
-        rows[i] = static_cast<uint32_t>(rng.NextBounded(n));
+      // Counting sort of the draws: the tree depends only on which rows
+      // were drawn how often, and ascending rows read columns in order.
+      std::vector<uint32_t> draws(n, 0);
+      for (size_t i = 0; i < n; ++i) ++draws[rng.NextBounded(n)];
+      size_t i = 0;
+      for (size_t r = 0; r < n; ++r) {
+        for (uint32_t k = 0; k < draws[r]; ++k) {
+          rows[i++] = static_cast<uint32_t>(r);
+        }
       }
     } else {
       for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
     }
-    Status st = tree->FitSourceOnRows(x, y, rows, classes_);
+    Status st = tree->FitSourceOnRows(x, codes, std::move(rows), classes_);
     if (!st.ok()) {
       MutexLock lock(&error_mutex);
       if (first_error.ok()) first_error = st;
@@ -80,65 +89,38 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   if (!first_error.ok()) {
     trees_.clear();
     classes_.clear();
+    Flatten();
     return first_error;
   }
+  Flatten();
   CountTrainingSourceFit(x);
   return Status::OK();
 }
 
-Result<std::vector<std::vector<double>>> RandomForest::AverageDistribution(
-    const Matrix& x) const {
-  MLCS_RETURN_IF_ERROR(
-      internal::CheckPredictInputs(x, num_features_, fitted()));
-  std::vector<std::vector<double>> avg(
-      x.rows(), std::vector<double>(classes_.size(), 0.0));
-  for (const auto& tree : trees_) {
-    MLCS_ASSIGN_OR_RETURN(auto dist, tree->PredictDistribution(x));
-    for (size_t r = 0; r < x.rows(); ++r) {
-      for (size_t c = 0; c < classes_.size(); ++c) {
-        avg[r][c] += dist[r][c];
-      }
-    }
-  }
-  double inv = 1.0 / static_cast<double>(trees_.size());
-  for (auto& row : avg) {
-    for (auto& v : row) v *= inv;
-  }
-  return avg;
+void RandomForest::Flatten() {
+  flat_ = FlatForest(classes_.size());
+  for (const auto& tree : trees_) flat_.Append(tree->flat());
 }
 
 Result<Labels> RandomForest::Predict(const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto avg, AverageDistribution(x));
-  Labels out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    size_t best = 0;
-    for (size_t c = 1; c < classes_.size(); ++c) {
-      if (avg[r][c] > avg[r][best]) best = c;
-    }
-    out[r] = classes_[best];
-  }
-  return out;
+  MLCS_RETURN_IF_ERROR(
+      internal::CheckPredictInputs(x, num_features_, fitted()));
+  return flat_.Predict(x, classes_);
 }
 
 Result<std::vector<double>> RandomForest::PredictProba(const Matrix& x,
                                                        int32_t cls) const {
   MLCS_ASSIGN_OR_RETURN(size_t cls_idx, internal::ClassIndex(classes_, cls));
-  MLCS_ASSIGN_OR_RETURN(auto avg, AverageDistribution(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = avg[r][cls_idx];
-  return out;
+  MLCS_RETURN_IF_ERROR(
+      internal::CheckPredictInputs(x, num_features_, fitted()));
+  return flat_.PredictProba(x, cls_idx);
 }
 
 Result<std::vector<double>> RandomForest::PredictConfidence(
     const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto avg, AverageDistribution(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    double best = 0;
-    for (double v : avg[r]) best = std::max(best, v);
-    out[r] = best;
-  }
-  return out;
+  MLCS_RETURN_IF_ERROR(
+      internal::CheckPredictInputs(x, num_features_, fitted()));
+  return flat_.PredictConfidence(x);
 }
 
 Result<std::vector<double>> RandomForest::FeatureImportances() const {
@@ -201,6 +183,8 @@ Result<std::unique_ptr<RandomForest>> RandomForest::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(options.seed, reader->ReadU64());
   auto forest = std::make_unique<RandomForest>(options);
   MLCS_ASSIGN_OR_RETURN(uint64_t num_classes, reader->ReadVarint());
+  MLCS_RETURN_IF_ERROR(
+      internal::CheckCount(*reader, num_classes, sizeof(int32_t), "classes"));
   forest->classes_.resize(num_classes);
   for (auto& c : forest->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
@@ -208,11 +192,23 @@ Result<std::unique_ptr<RandomForest>> RandomForest::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(uint64_t nf, reader->ReadVarint());
   forest->num_features_ = nf;
   MLCS_ASSIGN_OR_RETURN(uint64_t num_trees, reader->ReadVarint());
+  // A tree body is at least its fixed-width options plus four counts.
+  constexpr size_t kMinTreeBytes = 4 + 1 + 1 + 1 + 4 + 1 + 8 + 4;
+  MLCS_RETURN_IF_ERROR(
+      internal::CheckCount(*reader, num_trees, kMinTreeBytes, "trees"));
   forest->trees_.reserve(num_trees);
   for (uint64_t t = 0; t < num_trees; ++t) {
     MLCS_ASSIGN_OR_RETURN(auto tree, DecisionTree::DeserializeBody(reader));
+    // The flat forest shares one class space and feature layout.
+    if (tree->classes() != forest->classes_ ||
+        tree->num_features() != forest->num_features_) {
+      return Status::ParseError(
+          "corrupt forest: tree classes or feature count differ from the "
+          "forest's");
+    }
     forest->trees_.push_back(std::move(tree));
   }
+  forest->Flatten();
   return forest;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ml/decision_tree.h"
+#include "ml/flat_forest.h"
 #include "ml/model.h"
 
 namespace mlcs::ml {
@@ -59,14 +60,15 @@ class RandomForest : public Model {
   const RandomForestOptions& options() const { return options_; }
 
  private:
-  /// Tree-distribution average per row (class-index space).
-  Result<std::vector<std::vector<double>>> AverageDistribution(
-      const Matrix& x) const;
+  /// Rebuilds flat_ from trees_; called once at the end of a fit or load.
+  void Flatten();
 
   RandomForestOptions options_;
   std::vector<int32_t> classes_;
   size_t num_features_ = 0;
   std::vector<std::unique_ptr<DecisionTree>> trees_;
+  /// All trees in one node array — what every predict call walks.
+  FlatForest flat_;
 };
 
 }  // namespace mlcs::ml

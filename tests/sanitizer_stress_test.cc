@@ -22,6 +22,7 @@
 #include "ml/matrix.h"
 #include "ml/naive_bayes.h"
 #include "ml/pickle.h"
+#include "ml/random_forest.h"
 #include "modelstore/model_cache.h"
 #include "modelstore/model_store.h"
 #include "obs/flight_recorder.h"
@@ -696,6 +697,93 @@ TEST(SanitizerStressTest, BufferPoolConcurrentScansAndEviction) {
   bufpool::SetZoneMapSkippingEnabled(true);
   pool.set_byte_budget(budget_before);
   pool.Clear();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(SanitizerStressTest, SharedForestPredictNestedInServing) {
+  // The flat forest kernel fans rows out in morsels over the global pool.
+  // Four threads predict on one shared forest with batches below and above
+  // the 1024-row morsel width, while an InferenceServer executes batches of
+  // the same model on the global pool's workers — so the kernel's morsel
+  // drain also runs nested inside pool tasks. Every answer must match the
+  // single-threaded reference bit for bit.
+  Rng rng(31);
+  ml::Matrix train(512, 3);
+  ml::Labels y(512);
+  for (size_t i = 0; i < 512; ++i) {
+    int32_t cls = static_cast<int32_t>(rng.NextBounded(3));
+    for (size_t c = 0; c < 3; ++c) {
+      train.Set(i, c, cls * 1.5 + rng.NextGaussian());
+    }
+    y[i] = cls;
+  }
+  ml::RandomForestOptions opt;
+  opt.n_estimators = 4;
+  opt.max_depth = 6;
+  ml::RandomForest forest(opt);
+  ASSERT_TRUE(forest.Fit(train, y).ok());
+
+  auto make_batch = [](size_t rows, uint64_t seed) {
+    Rng r(seed);
+    ml::Matrix x(rows, 3);
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t c = 0; c < 3; ++c) x.Set(i, c, r.NextGaussian() * 3);
+    }
+    return x;
+  };
+  const std::vector<size_t> sizes = {7, 1500, 3000};
+  std::vector<ml::Matrix> batches;
+  std::vector<ml::Labels> want;
+  std::vector<std::vector<double>> want_conf;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    batches.push_back(make_batch(sizes[i], 100 + i));
+    want.push_back(forest.Predict(batches.back()).ValueOrDie());
+    want_conf.push_back(forest.PredictConfidence(batches.back()).ValueOrDie());
+  }
+
+  Database db;
+  modelstore::ModelStore store(&db);
+  ASSERT_TRUE(store.Init().ok());
+  ASSERT_TRUE(store.SaveModel("rf", forest, 0.9, 512).ok());
+  serve::InferenceServer server(&db, &store);
+  ASSERT_TRUE(server.Start(0).ok());
+  uint16_t port = server.port();
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 6; ++i) {
+        size_t b = static_cast<size_t>(t + i) % batches.size();
+        auto labels = forest.Predict(batches[b]);
+        auto conf = forest.PredictConfidence(batches[b]);
+        if (!labels.ok() || labels.ValueOrDie() != want[b] || !conf.ok() ||
+            conf.ValueOrDie() != want_conf[b]) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      client::InferenceClient client;
+      if (!client.Connect("127.0.0.1", port).ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < 4; ++i) {
+        size_t b = static_cast<size_t>(c + i) % batches.size();
+        auto response = client.Call("rf", batches[b]);
+        if (!response.ok() ||
+            response.ValueOrDie().code != serve::ServeCode::kOk ||
+            response.ValueOrDie().labels != want[b]) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  server.Stop();
   EXPECT_EQ(failures.load(), 0);
 }
 
