@@ -3,7 +3,12 @@
 // the full server — micro-batching, admission control, deadlines, and
 // drain-then-stop shutdown — over real sockets.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -13,6 +18,7 @@
 
 #include "client/inference_client.h"
 #include "client/net_util.h"
+#include "client/protocol.h"
 #include "common/random.h"
 #include "ml/logistic_regression.h"
 #include "modelstore/model_cache.h"
@@ -636,6 +642,178 @@ TEST_F(InferenceServerTest, StopIsIdempotentAndRestartable) {
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   EXPECT_EQ(client.Predict("m", query_).ValueOrDie(), expected_);
   server->Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Slow readers: a client that pipelines requests but never reads its
+// answers must stall only itself, never the other connections.
+// ---------------------------------------------------------------------------
+
+/// How long a healthy client may wait while another connection is stuck.
+constexpr int kAnswerWithinMs = 5000;
+
+/// A raw connection whose receive buffer is shrunk before connect, so the
+/// server's responses back up after a few KiB.
+int ConnectSlowReader(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// One frame, or an error when none starts arriving within `timeout_ms`.
+Result<std::vector<uint8_t>> ReadFrameWithin(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, timeout_ms) != 1) {
+    return Status::NetworkError("no answer within " +
+                                std::to_string(timeout_ms) + " ms");
+  }
+  return ReadFrame(fd);
+}
+
+/// An SQL frame: kind 'q', the result-set protocol byte, then the SQL text.
+Status SendQueryFrame(int fd, const std::string& sql,
+                      client::WireProtocol protocol) {
+  ByteWriter body;
+  body.WriteU8('q');
+  body.WriteU8(static_cast<uint8_t>(protocol));
+  body.WriteRaw(sql.data(), sql.size());
+  return WriteFrame(fd, body);
+}
+
+/// Decodes a 'Q' answer: kind, ok flag, then a result set or a message.
+Result<TablePtr> DecodeQueryFrame(const std::vector<uint8_t>& frame,
+                                  client::WireProtocol protocol) {
+  ByteReader reader(frame);
+  MLCS_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8());
+  if (kind != 'Q') {
+    return Status::ParseError("expected a 'Q' frame, got kind " +
+                              std::to_string(kind));
+  }
+  MLCS_ASSIGN_OR_RETURN(uint8_t ok, reader.ReadU8());
+  if (ok == 0) {
+    MLCS_ASSIGN_OR_RETURN(std::string message, reader.ReadString());
+    return Status::Internal(message);
+  }
+  return client::DecodeResultSet(&reader, protocol);
+}
+
+/// Sends frames on `fd` from a background thread until the count is done
+/// or the socket is shut down; the server may stop reading, so the sends
+/// are allowed to block.
+class BackgroundSender {
+ public:
+  BackgroundSender(int fd, std::vector<ByteWriter> frames)
+      : fd_(fd), thread_([this, frames = std::move(frames)] {
+          for (const ByteWriter& frame : frames) {
+            if (!WriteFrame(fd_, frame).ok()) break;
+          }
+        }) {}
+  /// Shutting the socket down fails a send blocked on it, so the thread
+  /// ends whether or not the server ever read the frames.
+  ~BackgroundSender() {
+    ::shutdown(fd_, SHUT_RDWR);
+    thread_.join();
+    ::close(fd_);
+  }
+
+ private:
+  const int fd_;
+  std::thread thread_;
+};
+
+class SlowReaderTest : public InferenceServerTest {
+ protected:
+  /// A 1-row predict on its own connection, answered within the bound.
+  void ExpectPredictAnswered(uint16_t port) {
+    client::InferenceClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+    PredictRequest request;
+    request.request_id = 1;
+    request.model_name = "m";
+    request.features = TestQueryMatrix(1);
+    ByteWriter body;
+    EncodePredictRequest(request, Layout::kColumnar, &body);
+    ASSERT_TRUE(WriteFrame(client.fd(), body).ok());
+    auto frame = ReadFrameWithin(client.fd(), kAnswerWithinMs);
+    ASSERT_TRUE(frame.ok()) << "predict: " << frame.status().ToString();
+    ByteReader reader(frame.ValueOrDie());
+    PredictResponse response = DecodePredictResponse(&reader).ValueOrDie();
+    EXPECT_EQ(response.code, ServeCode::kOk) << response.message;
+    EXPECT_EQ(response.labels, std::vector<int32_t>{expected_[0]});
+  }
+
+  /// An SQL statement on its own connection, answered within the bound.
+  void ExpectQueryAnswered(uint16_t port) {
+    client::InferenceClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+    ASSERT_TRUE(SendQueryFrame(client.fd(), "SELECT COUNT(*) FROM big",
+                               client::WireProtocol::kMyBinary)
+                    .ok());
+    auto frame = ReadFrameWithin(client.fd(), kAnswerWithinMs);
+    ASSERT_TRUE(frame.ok()) << "query: " << frame.status().ToString();
+    auto table =
+        DecodeQueryFrame(frame.ValueOrDie(), client::WireProtocol::kMyBinary);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ(table.ValueOrDie()->GetValue(0, 0).ValueOrDie(),
+              Value::Int64(static_cast<int64_t>(kBigRows)));
+  }
+
+  /// A table whose pg-text result set (~16 MB) outgrows any socket buffer.
+  void CreateBigTable() {
+    std::vector<int64_t> values(kBigRows);
+    for (size_t i = 0; i < kBigRows; ++i) {
+      values[i] = static_cast<int64_t>(i) * 1000003;
+    }
+    Schema schema;
+    schema.AddField("v", TypeId::kInt64);
+    auto table = std::make_shared<Table>(
+        std::move(schema),
+        std::vector<ColumnPtr>{Column::FromInt64(std::move(values))});
+    ASSERT_TRUE(db_.catalog().CreateTable("big", table).ok());
+  }
+
+  static constexpr size_t kBigRows = 1000000;
+};
+
+TEST_F(SlowReaderTest, PipelinedPredictsNeverReadStallOnlyTheirClient) {
+  CreateBigTable();
+  auto server = MakeServer({});
+  // 128 predicts of 20 000 rows: ~10 MB of answers that client A never
+  // reads, far past its 4 KiB receive buffer and the kernel's send buffer.
+  std::vector<ByteWriter> frames(128);
+  PredictRequest request;
+  request.model_name = "m";
+  request.features = TestQueryMatrix(20000);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    request.request_id = i + 1;
+    EncodePredictRequest(request, Layout::kColumnar, &frames[i]);
+  }
+  BackgroundSender slow(ConnectSlowReader(server->port()), std::move(frames));
+  // Give the server time to read A's requests and back up on its answers.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ExpectPredictAnswered(server->port());
+  ExpectQueryAnswered(server->port());
+}
+
+TEST_F(SlowReaderTest, LargeResultNeverReadStallsOnlyItsClient) {
+  CreateBigTable();
+  auto server = MakeServer({});
+  int fd = ConnectSlowReader(server->port());
+  ASSERT_TRUE(
+      SendQueryFrame(fd, "SELECT v FROM big", client::WireProtocol::kPgText)
+          .ok());
+  BackgroundSender slow(fd, {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ExpectQueryAnswered(server->port());
+  ExpectPredictAnswered(server->port());
 }
 
 }  // namespace
