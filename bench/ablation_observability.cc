@@ -45,12 +45,7 @@
 namespace {
 
 using namespace mlcs;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
-}
+using bench::EnvSize;
 
 struct BenchConfig {
   size_t queries_per_thread = 60;

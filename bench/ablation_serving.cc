@@ -27,7 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "client/inference_client.h"
+#include "client/client.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "json_util.h"
@@ -40,12 +40,7 @@
 namespace {
 
 using namespace mlcs;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
-}
+using bench::EnvSize;
 
 struct BenchConfig {
   size_t requests = 2000;
@@ -94,7 +89,7 @@ ml::Matrix RequestMatrix(const BenchConfig& config, uint64_t seed) {
 void RunClient(uint16_t port, const BenchConfig& config,
                serve::Layout layout, size_t per_client, uint64_t seed,
                ClientOutcome* out) {
-  client::InferenceClient client;
+  client::Client client;
   if (!client.Connect("127.0.0.1", port).ok()) {
     out->other += per_client;
     return;

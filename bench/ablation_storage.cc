@@ -38,12 +38,7 @@
 namespace {
 
 using namespace mlcs;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
+using bench::EnvSize;
 
 /// Directory the stored voter table lives in, removed at exit (the
 /// database reading it is never torn down, so this runs after its last

@@ -39,11 +39,7 @@
 
 namespace {
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
-}
+using mlcs::bench::EnvSize;
 
 size_t g_reps = 1;
 std::vector<mlcs::pipeline::PipelineResult> g_results;

@@ -2,9 +2,10 @@
 #define MLCS_BENCH_JSON_UTIL_H_
 
 // Minimal streaming JSON writer for the custom benchmark harnesses (fig1,
-// ablation_serving). The google-benchmark binaries get their JSON from the
-// library's own JSONReporter (see bench_main.h); this exists so the custom
-// harnesses emit the same machine-readable BENCH_<name>.json artifacts.
+// ablation_serving), plus the environment-knob reader every bench shares.
+// The google-benchmark binaries get their JSON from the library's own
+// JSONReporter (see bench_main.h); this exists so the custom harnesses emit
+// the same machine-readable BENCH_<name>.json artifacts.
 
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +25,14 @@ namespace mlcs::bench {
 inline bool PlanOptimizerEnabledByEnv() {
   const char* disable = std::getenv("MLCS_DISABLE_OPTIMIZER");
   return disable == nullptr || disable[0] == '\0';
+}
+
+/// A size knob from the environment: its decimal value, or `fallback`
+/// when `name` is unset or empty. Every bench reads its scale this way.
+inline size_t EnvSize(const char* name, size_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  return static_cast<size_t>(std::strtoull(v, nullptr, 10));
 }
 
 class JsonWriter {

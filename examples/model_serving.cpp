@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "client/inference_client.h"
+#include "client/client.h"
 #include "common/random.h"
 #include "ml/logistic_regression.h"
 #include "modelstore/model_store.h"
@@ -80,7 +80,7 @@ int main() {
 
   // 3. Predict over the columnar layout (the default — contiguous
   //    per-column doubles, decoded server-side by bulk copy).
-  client::InferenceClient client;
+  client::Client client;
   if (!client.Connect("127.0.0.1", server.port()).ok()) {
     std::fprintf(stderr, "connect failed\n");
     return 1;

@@ -8,13 +8,11 @@
 
 #include <cstring>
 
-#include "client/net_util.h"
-
 namespace mlcs::client {
 
-TableClient::~TableClient() { Disconnect(); }
+Client::~Client() { Disconnect(); }
 
-Status TableClient::Connect(const std::string& host, uint16_t port) {
+Status Client::Connect(const std::string& host, uint16_t port) {
   Disconnect();
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) return Status::NetworkError("socket() failed");
@@ -37,72 +35,90 @@ Status TableClient::Connect(const std::string& host, uint16_t port) {
   return Status::OK();
 }
 
-void TableClient::Disconnect() {
+void Client::Disconnect() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
 }
 
-Result<TablePtr> TableClient::Query(const std::string& sql,
-                                    WireProtocol protocol) {
+Result<std::vector<uint8_t>> Client::RoundTrip(const ByteWriter& body) {
   if (fd_ < 0) return Status::NetworkError("not connected");
-  uint8_t protocol_byte = static_cast<uint8_t>(protocol);
-  uint32_t sql_len = static_cast<uint32_t>(sql.size());
-  if (!net::WriteAll(fd_, &protocol_byte, 1) ||
-      !net::WriteAll(fd_, &sql_len, sizeof(sql_len)) ||
-      !net::WriteAll(fd_, sql.data(), sql.size())) {
-    return Status::NetworkError("failed to send query");
-  }
-  uint64_t frame_len = 0;
-  if (!net::ReadExact(fd_, &frame_len, sizeof(frame_len))) {
-    return Status::NetworkError("connection closed while reading response");
-  }
-  std::vector<uint8_t> frame(frame_len);
-  if (!net::ReadExact(fd_, frame.data(), frame.size())) {
-    return Status::NetworkError("truncated response frame");
-  }
+  MLCS_RETURN_IF_ERROR(serve::WriteFrame(fd_, body));
+  return serve::ReadFrame(fd_);
+}
+
+Result<TablePtr> Client::Query(const std::string& sql,
+                               WireProtocol protocol) {
+  ByteWriter body;
+  serve::EncodeQueryRequest(sql, protocol, &body);
+  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, RoundTrip(body));
   last_response_bytes_ = frame.size();
   ByteReader reader(frame);
-  MLCS_ASSIGN_OR_RETURN(uint8_t ok_flag, reader.ReadU8());
-  if (ok_flag != 0) {
-    MLCS_ASSIGN_OR_RETURN(std::string message, reader.ReadString());
-    return Status::NetworkError("server error: " + message);
-  }
-  return DecodeResultSet(&reader, protocol);
+  return serve::DecodeQueryResponse(&reader, protocol);
 }
 
-Result<std::string> TableClient::FetchExport(uint8_t verb,
-                                             const std::string& payload) {
+Result<uint64_t> Client::Send(const std::string& model_name,
+                              const ml::Matrix& features,
+                              const InferenceCallOptions& options) {
   if (fd_ < 0) return Status::NetworkError("not connected");
-  uint32_t payload_len = static_cast<uint32_t>(payload.size());
-  if (!net::WriteAll(fd_, &verb, 1) ||
-      !net::WriteAll(fd_, &payload_len, sizeof(payload_len)) ||
-      !net::WriteAll(fd_, payload.data(), payload.size())) {
-    return Status::NetworkError("failed to send export request");
-  }
-  uint64_t frame_len = 0;
-  if (!net::ReadExact(fd_, &frame_len, sizeof(frame_len))) {
-    return Status::NetworkError("connection closed while reading export");
-  }
-  std::vector<uint8_t> frame(frame_len);
-  if (!net::ReadExact(fd_, frame.data(), frame.size())) {
-    return Status::NetworkError("truncated export frame");
-  }
-  last_response_bytes_ = frame.size();
+  serve::PredictRequest request;
+  request.request_id = next_request_id_++;
+  request.deadline_ms = options.deadline_ms;
+  request.model_name = model_name;
+  request.features = features;
+  ByteWriter body;
+  serve::EncodePredictRequest(request, options.layout, &body);
+  MLCS_RETURN_IF_ERROR(serve::WriteFrame(fd_, body));
+  return request.request_id;
+}
+
+Result<serve::PredictResponse> Client::Receive() {
+  if (fd_ < 0) return Status::NetworkError("not connected");
+  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, serve::ReadFrame(fd_));
   ByteReader reader(frame);
-  MLCS_ASSIGN_OR_RETURN(uint8_t ok_flag, reader.ReadU8());
-  MLCS_ASSIGN_OR_RETURN(std::string text, reader.ReadString());
-  if (ok_flag != 0) return Status::NetworkError("server error: " + text);
-  return text;
+  return serve::DecodePredictResponse(&reader);
 }
 
-Result<std::string> TableClient::FetchMetricsText() {
-  return FetchExport(kVerbPrometheus, "");
+Result<serve::PredictResponse> Client::Call(
+    const std::string& model_name, const ml::Matrix& features,
+    const InferenceCallOptions& options) {
+  MLCS_ASSIGN_OR_RETURN(uint64_t id, Send(model_name, features, options));
+  MLCS_ASSIGN_OR_RETURN(serve::PredictResponse response, Receive());
+  if (response.request_id != id) {
+    return Status::Internal("response id " +
+                            std::to_string(response.request_id) +
+                            " does not match request id " +
+                            std::to_string(id));
+  }
+  return response;
 }
 
-Result<std::string> TableClient::FetchChromeTrace(uint64_t trace_id) {
-  return FetchExport(kVerbChromeTrace, std::to_string(trace_id));
+Result<std::vector<int32_t>> Client::Predict(
+    const std::string& model_name, const ml::Matrix& features,
+    const InferenceCallOptions& options) {
+  MLCS_ASSIGN_OR_RETURN(serve::PredictResponse response,
+                        Call(model_name, features, options));
+  if (response.code != serve::ServeCode::kOk) {
+    return serve::ServeCodeToStatus(response.code, response.message);
+  }
+  return std::move(response.labels);
+}
+
+Result<std::string> Client::FetchMetricsText() {
+  ByteWriter body;
+  serve::EncodeMetricsRequest(&body);
+  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, RoundTrip(body));
+  ByteReader reader(frame);
+  return serve::DecodeExportResponse(&reader);
+}
+
+Result<std::string> Client::FetchChromeTrace(uint64_t trace_id) {
+  ByteWriter body;
+  serve::EncodeTraceExportRequest(trace_id, &body);
+  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, RoundTrip(body));
+  ByteReader reader(frame);
+  return serve::DecodeExportResponse(&reader);
 }
 
 }  // namespace mlcs::client

@@ -31,14 +31,6 @@ enum class WireProtocol : uint8_t { kPgText = 0, kMyBinary = 1, kColumnar = 2 };
 
 const char* WireProtocolToString(WireProtocol protocol);
 
-/// Observability verbs (DESIGN.md §15), carried in the protocol byte of
-/// the TableServer request framing. The "SQL" payload repurposes: empty
-/// for kVerbPrometheus, the decimal trace id (0 = all retained) for
-/// kVerbChromeTrace. The response is the usual u8 ok-flag followed by one
-/// length-prefixed string — the export text — instead of a result set.
-inline constexpr uint8_t kVerbPrometheus = 0xF0;
-inline constexpr uint8_t kVerbChromeTrace = 0xF1;
-
 /// Result-set header: column names and types.
 void EncodeHeader(const Schema& schema, ByteWriter* out);
 Result<Schema> DecodeHeader(ByteReader* in);

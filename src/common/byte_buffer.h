@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -71,6 +72,8 @@ class ByteWriter {
     buffer_.clear();
     return out;
   }
+  /// Moves the accumulated bytes out without a copy (wire frames).
+  std::vector<uint8_t> Release() { return std::move(buffer_); }
 
  private:
   std::vector<uint8_t> buffer_;

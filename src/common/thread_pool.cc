@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "common/parallel_for.h"
+
 namespace mlcs {
 
 size_t ThreadPool::DefaultThreadCount() {
@@ -84,20 +86,18 @@ void ThreadPool::ParallelForChunks(
     const std::function<void(size_t, size_t, size_t)>& fn) {
   if (count == 0) return;
   num_chunks = std::max<size_t>(1, std::min(num_chunks, count));
-  if (num_chunks == 1) {
-    fn(0, 0, count);
-    return;
-  }
-  size_t chunk_size = (count + num_chunks - 1) / num_chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t begin = c * chunk_size;
-    size_t end = std::min(count, begin + chunk_size);
-    if (begin >= end) break;
-    futures.push_back(Submit([&fn, c, begin, end] { fn(c, begin, end); }));
-  }
-  for (auto& f : futures) f.wait();
+  // The chunks are ParallelMorsels' morsels: the caller claims chunks too,
+  // so a pool worker calling this (a forest fit inside an SQL statement
+  // the server runs as a pool task) never waits on a chunk no thread runs.
+  MorselPolicy policy;
+  policy.pool = this;
+  policy.morsel_rows = (count + num_chunks - 1) / num_chunks;
+  Status ignored = ParallelMorsels(
+      policy, count, [&fn](size_t chunk, size_t begin, size_t end) {
+        fn(chunk, begin, end);
+        return Status::OK();
+      });
+  (void)ignored;  // fn reports nothing
 }
 
 void ThreadPool::WorkerLoop() {

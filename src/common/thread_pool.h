@@ -35,7 +35,8 @@ class ThreadPool {
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
 
   /// Splits [0, count) into `num_chunks` contiguous ranges and runs
-  /// fn(chunk_index, begin, end) for each in parallel.
+  /// fn(chunk_index, begin, end) for each in parallel. The caller runs
+  /// chunks too, so calling this from a pool task cannot deadlock.
   void ParallelForChunks(
       size_t count, size_t num_chunks,
       const std::function<void(size_t, size_t, size_t)>& fn);

@@ -76,6 +76,19 @@ void WriteU64(int fd, uint64_t v) {
   WriteAll(fd, buf, FormatU64(v, buf));
 }
 
+/// Byte copy out of a buffer a writer may be changing. Each byte is an
+/// acquire load, so the seqlock's closing `seq` check cannot move ahead of
+/// any of them — the ordering an acquire fence would give, in a form
+/// -fsanitize=thread understands (it rejects std::atomic_thread_fence).
+void AcquireByteCopy(char* dst, const char* src, size_t n) {
+  static_assert(std::atomic_ref<char>::is_always_lock_free,
+                "signal-safe reads need lock-free byte atomics");
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] = std::atomic_ref<char>(const_cast<char&>(src[i]))
+                 .load(std::memory_order_acquire);
+  }
+}
+
 /// Seqlock read of one pre-serialized buffer into `dst` (capacity `cap`).
 /// Returns the stable length, or 0 when the buffer is empty or a writer
 /// kept it unstable across the retry budget.
@@ -86,8 +99,7 @@ uint32_t ReadSeqBuf(const Buf& buf, char* dst, size_t cap) {
     if (seq1 == 0 || (seq1 & 1u) != 0) continue;
     uint32_t len = buf.len.load(std::memory_order_acquire);
     if (len == 0 || len > cap) continue;
-    ByteCopy(dst, buf.data, len);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    AcquireByteCopy(dst, buf.data, len);
     if (buf.seq.load(std::memory_order_acquire) == seq1) return len;
   }
   return 0;

@@ -11,8 +11,8 @@ namespace mlcs::obs {
 /// Standard-format exporters (DESIGN.md §15): the bridge from the
 /// engine-internal registries (MetricsRegistry, WaitStats, FlightRecorder)
 /// to the two formats external tooling actually ingests. Served over the
-/// wire by both servers (TableServer verbs 0xF0/0xF1, serve protocol kinds
-/// 'm'/'t') and dumpable to disk for offline runs.
+/// wire as 'm'/'t' frames (serve/serve_protocol.h, DESIGN.md §17) and
+/// dumpable to disk for offline runs.
 
 /// Prometheus text exposition (version 0.0.4) of the global registry:
 /// counters and gauges as flat samples, histograms in the cumulative

@@ -75,6 +75,15 @@ void CopySanitized(char* dst, size_t cap, const std::string& src) {
   dst[n] = '\0';
 }
 
+/// Takes a crash-state seqlock for writing (even → odd). False when another
+/// writer holds it: that publication is skipped, since two writers would
+/// interleave their bytes and the ring is best effort anyway.
+bool ClaimSeq(std::atomic<uint32_t>* seq) {
+  uint32_t s = seq->load(std::memory_order_relaxed);
+  return (s & 1u) == 0 &&
+         seq->compare_exchange_strong(s, s + 1, std::memory_order_acq_rel);
+}
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(size_t byte_budget, size_t max_slow)
@@ -121,7 +130,7 @@ void FlightRecorder::PublishCrashSlot(const RecordedTrace& trace) {
   crash::TraceSlot& slot = state.trace_slots[idx];
   char name[160];
   CopySanitized(name, sizeof(name), trace.root_name);
-  slot.seq.fetch_add(1, std::memory_order_acq_rel);  // odd: mid-write
+  if (!ClaimSeq(&slot.seq)) return;  // odd: mid-write
   int n = std::snprintf(
       slot.data, crash::kTraceSlotBytes,
       "{\"trace_id\":%llu,\"name\":\"%s\",\"duration_ms\":%.3f,"
@@ -152,7 +161,7 @@ void FlightRecorder::RefreshCrashMetrics(bool force) {
   }
   std::vector<MetricSample> samples = MetricsRegistry::Global().Snapshot();
   crash::SeqBuf& buf = crash::GlobalCrashState().metrics;
-  buf.seq.fetch_add(1, std::memory_order_acq_rel);
+  if (!ClaimSeq(&buf.seq)) return;
   size_t pos = 0;
   buf.data[pos++] = '{';
   bool first = true;

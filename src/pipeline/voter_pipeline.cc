@@ -619,7 +619,7 @@ Result<PipelineResult> RunFromSocket(const std::string& host, uint16_t port,
   // the preprocessed rows over the socket and continues externally — the
   // paper's PostgreSQL/MySQL setup.
   WallTimer load_timer;
-  client::TableClient tcp;
+  client::Client tcp;
   MLCS_RETURN_IF_ERROR(tcp.Connect(host, port));
   MLCS_ASSIGN_OR_RETURN(TablePtr wrangled,
                         tcp.Query(WranglingSql(config), protocol));

@@ -1,16 +1,15 @@
 #include "serve/inference_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "obs/export.h"
@@ -19,14 +18,44 @@ namespace mlcs::serve {
 
 namespace {
 
-void SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+/// Bytes taken off a socket per readiness event. Level-triggered epoll
+/// reports what is left, so one chatty connection cannot starve the rest.
+constexpr size_t kReadChunkBytes = 64u << 10;
+
+/// A response under construction: a u32 length placeholder that Send
+/// fills in, then the body.
+ByteWriter NewFrame() {
+  ByteWriter frame;
+  frame.WriteU32(0);
+  return frame;
 }
 
 }  // namespace
 
 InferenceServer::Conn::~Conn() { ::close(fd); }
+
+bool InferenceServer::Conn::Flush() MLCS_REQUIRES(mutex) {
+  while (!output.empty()) {
+    const std::vector<uint8_t>& front = output.front();
+    ssize_t n = ::send(fd, front.data() + sent, front.size() - sent,
+                       MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      output.clear();
+      sent = 0;
+      queued_bytes = 0;
+      return false;
+    }
+    sent += static_cast<size_t>(n);
+    queued_bytes -= static_cast<size_t>(n);
+    if (sent == front.size()) {
+      output.pop_front();
+      sent = 0;
+    }
+  }
+  return true;
+}
 
 InferenceServer::InferenceServer(Database* db, modelstore::ModelStore* store,
                                  InferenceServerOptions options)
@@ -36,45 +65,52 @@ InferenceServer::InferenceServer(Database* db, modelstore::ModelStore* store,
       pool_(options_.pool != nullptr ? options_.pool : &ThreadPool::Global()),
       cache_(options_.model_cache != nullptr
                  ? options_.model_cache
-                 : &modelstore::ModelCache::Global()) {
-  (void)db_;  // reserved for serving-side SQL (health/metadata queries)
-}
+                 : &modelstore::ModelCache::Global()) {}
 
 InferenceServer::~InferenceServer() { Stop(); }
 
 Status InferenceServer::Start(uint16_t port) {
   if (running_.load()) return Status::InvalidArgument("already running");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::NetworkError("socket() failed");
+  auto fail = [this](const std::string& what) {
+    std::string message = what + " failed: " + std::strerror(errno);
+    for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
+    return Status::NetworkError(message);
+  };
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        0);
+  if (listen_fd_ < 0) return fail("socket()");
   int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::NetworkError("bind() failed: " +
-                                std::string(std::strerror(errno)));
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    return fail("bind()");
   }
   socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return Status::NetworkError("getsockname() failed");
+  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+      0) {
+    return fail("getsockname()");
   }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    return Status::NetworkError("listen() failed");
+  if (::listen(listen_fd_, SOMAXCONN) != 0) return fail("listen()");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return fail("epoll_create1()");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) return fail("eventfd()");
+  for (int fd : {listen_fd_, wake_fd_}) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      return fail("epoll_ctl()");
+    }
   }
-  if (::pipe(wake_pipe_) != 0) {
-    ::close(fd);
-    return Status::NetworkError("pipe() failed");
-  }
-  SetNonBlocking(fd);
-  SetNonBlocking(wake_pipe_[0]);
-  SetNonBlocking(wake_pipe_[1]);
   port_ = ntohs(addr.sin_port);
-  listen_fd_.store(fd);
   queue_ = std::make_unique<BoundedQueue<Pending>>(
       options_.max_queue_requests, "serve.admission");
   draining_.store(false);
@@ -89,121 +125,180 @@ Status InferenceServer::Start(uint16_t port) {
 
 void InferenceServer::Stop() {
   if (!running_.exchange(false)) return;
-  // Phase 1: refuse new work. New connections stop at the closed listen
-  // socket; frames that still arrive on live connections are answered
-  // with kShuttingDown by the I/O thread.
-  draining_.store(true);
-  int lfd = listen_fd_.exchange(-1);
-  if (lfd >= 0) ::close(lfd);
+  // Phase 1: refuse new work. The I/O thread closes the listen socket;
+  // frames that still arrive on live connections are refused (predicts
+  // with kShuttingDown). Set under mutex_ so no statement can start after
+  // phase 2 below has counted the running ones.
+  {
+    MutexLock lock(&mutex_);
+    draining_.store(true);
+  }
+  Wake();
   // Phase 2: drain. Closing the queue lets the batcher pop every admitted
-  // request, answer it, and exit — no accepted request goes unanswered.
+  // request, answer it, and exit — no accepted request goes unanswered —
+  // and every running SQL statement finishes and answers.
   queue_->Close();
   if (batch_thread_.joinable()) batch_thread_.join();
-  // Phase 3: stop. All responses are on the wire; now the I/O thread can
-  // go, taking every connection (and its fd) with it.
-  io_stop_.store(true);
-  if (wake_pipe_[1] >= 0) {
-    uint8_t byte = 1;
-    ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
-    (void)ignored;
+  {
+    MutexLock lock(&mutex_);
+    while (queries_running_ > 0) queries_done_.Wait(lock);
+    resumed_.clear();
   }
+  // Phase 3: stop. The I/O thread makes a last flush attempt and goes,
+  // taking every connection (and its fd) with it.
+  io_stop_.store(true);
+  Wake();
   if (io_thread_.joinable()) io_thread_.join();
-  for (int i = 0; i < 2; ++i) {
-    if (wake_pipe_[i] >= 0) ::close(wake_pipe_[i]);
-    wake_pipe_[i] = -1;
+  for (int* fd : {&epoll_fd_, &wake_fd_}) {
+    ::close(*fd);
+    *fd = -1;
   }
 }
 
+void InferenceServer::Wake() {
+  uint64_t one = 1;
+  ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
+  (void)ignored;
+}
+
 InferenceServerStats InferenceServer::stats() const {
-  InferenceServerStats out;
-  out.requests_accepted = stats_.requests_accepted.Value();
-  out.responses_ok = stats_.responses_ok.Value();
-  out.rejected_overload = stats_.rejected_overload.Value();
-  out.rejected_bad_request = stats_.rejected_bad_request.Value();
-  out.rejected_shutdown = stats_.rejected_shutdown.Value();
-  out.expired_deadline = stats_.expired_deadline.Value();
-  out.failed_internal = stats_.failed_internal.Value();
-  out.batches_executed = stats_.batches_executed.Value();
-  out.batched_requests = stats_.batched_requests.Value();
-  out.batched_rows = stats_.batched_rows.Value();
-  out.peak_queue_depth = stats_.peak_queue_depth.Value();
-  out.peak_batch_requests = stats_.peak_batch_requests.Value();
-  return out;
+  InferenceServerStats snapshot;
+  snapshot.requests_accepted = stats_.requests_accepted.Value();
+  snapshot.responses_ok = stats_.responses_ok.Value();
+  snapshot.rejected_overload = stats_.rejected_overload.Value();
+  snapshot.rejected_bad_request = stats_.rejected_bad_request.Value();
+  snapshot.rejected_shutdown = stats_.rejected_shutdown.Value();
+  snapshot.expired_deadline = stats_.expired_deadline.Value();
+  snapshot.failed_internal = stats_.failed_internal.Value();
+  snapshot.batches_executed = stats_.batches_executed.Value();
+  snapshot.batched_requests = stats_.batched_requests.Value();
+  snapshot.batched_rows = stats_.batched_rows.Value();
+  snapshot.peak_queue_depth = stats_.peak_queue_depth.Value();
+  snapshot.peak_batch_requests = stats_.peak_batch_requests.Value();
+  return snapshot;
 }
 
 void InferenceServer::IoLoop() {
   std::unordered_map<int, ConnPtr> conns;
-  std::vector<pollfd> pfds;
-  while (!io_stop_.load()) {
-    pfds.clear();
-    pfds.push_back({wake_pipe_[0], POLLIN, 0});
-    int lfd = listen_fd_.load();
-    if (lfd >= 0) pfds.push_back({lfd, POLLIN, 0});
-    for (const auto& [fd, conn] : conns) {
-      pfds.push_back({fd, POLLIN, 0});
+  auto drop = [this, &conns](ConnPtr conn) {
+    {
+      MutexLock lock(&conn->mutex);
+      conn->closed = true;
+      conn->output.clear();
+      conn->queued_bytes = 0;
     }
-    int n = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 200);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+    conns.erase(conn->fd);
+  };
+  epoll_event events[64];
+  while (!io_stop_.load()) {
+    int n = ::epoll_wait(epoll_fd_, events, 64, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
-      MLCS_LOG(kWarn) << "poll() failed: " << std::strerror(errno);
+      MLCS_LOG(kWarn) << "epoll_wait() failed: " << std::strerror(errno);
       break;
     }
-    for (const pollfd& p : pfds) {
-      if (p.revents == 0) continue;
-      if (p.fd == wake_pipe_[0]) {
-        uint8_t drain[64];
-        while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
+    for (int i = 0; i < n; ++i) {
+      int fd = events[i].data.fd;
+      if (fd == wake_fd_) {
+        uint64_t count = 0;
+        ssize_t ignored = ::read(wake_fd_, &count, sizeof(count));
+        (void)ignored;
+        if (draining_.load() && listen_fd_ >= 0) {
+          ::close(listen_fd_);
+          listen_fd_ = -1;
         }
-        continue;
-      }
-      if (lfd >= 0 && p.fd == lfd) {
-        while (true) {
-          int cfd = ::accept(lfd, nullptr, nullptr);
-          // EAGAIN when the backlog is drained; EBADF if Stop() closed the
-          // socket under us — both end the accept burst harmlessly.
-          if (cfd < 0) break;
-          int one = 1;
-          ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          conns.emplace(cfd, std::make_shared<Conn>(cfd));
+        std::vector<ConnPtr> resumed;
+        {
+          MutexLock lock(&mutex_);
+          resumed.swap(resumed_);
         }
-        continue;
+        for (const ConnPtr& conn : resumed) {
+          auto it = conns.find(conn->fd);
+          if (it == conns.end() || it->second != conn) continue;  // dropped
+          if (!Service(conn, 0)) drop(conn);
+        }
+      } else if (fd == listen_fd_) {
+        Accept(&conns);
+      } else if (auto it = conns.find(fd); it != conns.end()) {
+        ConnPtr conn = it->second;
+        if (!Service(conn, events[i].events)) drop(conn);
       }
-      auto it = conns.find(p.fd);
-      if (it == conns.end()) continue;
-      if (!ReadAndDispatch(it->second)) conns.erase(it);
     }
   }
-  // Dropping the map releases the I/O thread's references; each fd closes
-  // once any in-flight response holding the Conn finishes.
-  conns.clear();
+  for (auto& [fd, conn] : conns) {
+    MutexLock lock(&conn->mutex);
+    (void)conn->Flush();
+    conn->closed = true;
+  }
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
-bool InferenceServer::ReadAndDispatch(const ConnPtr& conn) {
-  bool peer_gone = false;
+void InferenceServer::Accept(std::unordered_map<int, ConnPtr>* conns) {
   while (true) {
-    uint8_t buf[16384];
+    // EAGAIN when the backlog is drained; any other failure is retried on
+    // the next readiness event.
+    int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                       SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) return;
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto conn = std::make_shared<Conn>(fd);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) continue;
+    {
+      MutexLock lock(&conn->mutex);
+      conn->interest = EPOLLIN;
+    }
+    conns->emplace(fd, std::move(conn));
+  }
+}
+
+bool InferenceServer::Service(const ConnPtr& conn, uint32_t events) {
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0) return false;
+  if ((events & EPOLLOUT) != 0) {
+    MutexLock lock(&conn->mutex);
+    if (!conn->Flush()) return false;
+  }
+  if ((events & EPOLLIN) != 0) {
+    uint8_t buf[kReadChunkBytes];
     ssize_t n = ::recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      conn->inbuf.insert(conn->inbuf.end(), buf, buf + n);
-      continue;
+    if (n == 0) return false;  // orderly shutdown
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      return false;
     }
-    if (n == 0) {
-      peer_gone = true;  // orderly shutdown; flush what we have
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    peer_gone = true;
-    break;
+    if (n > 0) conn->inbuf.insert(conn->inbuf.end(), buf, buf + n);
   }
   if (!ProcessBufferedFrames(conn)) return false;
-  return !peer_gone;
+  MutexLock lock(&conn->mutex);
+  UpdateInterest(conn.get());
+  return true;
+}
+
+void InferenceServer::UpdateInterest(Conn* conn)
+    MLCS_REQUIRES(conn->mutex) {
+  uint32_t interest = conn->output.empty() ? 0u : uint32_t{EPOLLOUT};
+  if (!conn->Paused()) interest |= EPOLLIN;
+  if (conn->closed || interest == conn->interest) return;
+  epoll_event ev{};
+  ev.events = interest;
+  ev.data.fd = conn->fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  conn->interest = interest;
 }
 
 bool InferenceServer::ProcessBufferedFrames(const ConnPtr& conn) {
   std::vector<uint8_t>& buf = conn->inbuf;
   size_t consumed = 0;
   while (buf.size() - consumed >= sizeof(uint32_t)) {
+    {
+      // A paused connection keeps its frames until it resumes.
+      MutexLock lock(&conn->mutex);
+      if (conn->Paused()) break;
+    }
     uint32_t frame_len = 0;
     std::memcpy(&frame_len, buf.data() + consumed, sizeof(frame_len));
     if (frame_len > kMaxFrameBytes) {
@@ -226,10 +321,22 @@ bool InferenceServer::ProcessBufferedFrames(const ConnPtr& conn) {
 
 void InferenceServer::HandleFrame(const ConnPtr& conn, const uint8_t* body,
                                   size_t size) {
-  if (IsExportRequest(body, size)) {
-    HandleExportFrame(conn, body, size);
-    return;
+  switch (size == 0 ? FrameKind::kPredict : static_cast<FrameKind>(body[0])) {
+    case FrameKind::kQuery:
+      HandleQueryFrame(conn, body, size);
+      return;
+    case FrameKind::kMetrics:
+    case FrameKind::kTrace:
+      HandleExportFrame(conn, body, size);
+      return;
+    default:  // a predict, or garbage its decode answers kBadRequest
+      HandlePredictFrame(conn, body, size);
+      return;
   }
+}
+
+void InferenceServer::HandlePredictFrame(const ConnPtr& conn,
+                                         const uint8_t* body, size_t size) {
   ByteReader reader(body, size);
   auto decoded = DecodePredictRequest(&reader);
   if (!decoded.ok()) {
@@ -264,6 +371,63 @@ void InferenceServer::HandleFrame(const ConnPtr& conn, const uint8_t* body,
   stats_.peak_queue_depth.UpdateMax(queue_->size());
 }
 
+void InferenceServer::HandleQueryFrame(const ConnPtr& conn,
+                                       const uint8_t* body, size_t size) {
+  ByteReader reader(body, size);
+  auto decoded = DecodeQueryRequest(&reader);
+  Status admitted = decoded.status();
+  if (decoded.ok()) {
+    MutexLock lock(&mutex_);
+    if (draining_.load()) {
+      admitted = Status::NetworkError("server is draining");
+    } else {
+      ++queries_running_;
+    }
+  }
+  if (!admitted.ok()) {
+    ByteWriter frame = NewFrame();
+    EncodeQueryError(admitted.ToString(), &frame);
+    Send(conn, std::move(frame));
+    return;
+  }
+  {
+    MutexLock lock(&conn->mutex);
+    conn->query_running = true;
+  }
+  (void)pool_->Submit(
+      [this, conn, request = std::move(decoded).ValueOrDie()] {
+        RunQuery(conn, request);
+      });
+}
+
+void InferenceServer::RunQuery(const ConnPtr& conn,
+                               const QueryRequest& request) {
+  ByteWriter frame = NewFrame();
+  auto result = db_->Query(request.sql);
+  Status status = result.ok() ? EncodeQueryResponse(*result.ValueOrDie(),
+                                                    request.protocol, &frame)
+                              : result.status();
+  if (status.ok()) {
+    status = ResponseFrameLength(frame.size() - sizeof(uint32_t)).status();
+  }
+  if (!status.ok()) {
+    frame = NewFrame();
+    EncodeQueryError(status.ToString(), &frame);
+  }
+  Send(conn, std::move(frame));
+  {
+    MutexLock lock(&conn->mutex);
+    conn->query_running = false;
+  }
+  // The loop dispatches what the connection buffered meanwhile. Wake it
+  // before the count drops: Stop() closes the wake fd once it reads zero.
+  MutexLock lock(&mutex_);
+  resumed_.push_back(conn);
+  Wake();
+  --queries_running_;
+  queries_done_.NotifyAll();
+}
+
 void InferenceServer::HandleExportFrame(const ConnPtr& conn,
                                         const uint8_t* body, size_t size) {
   ByteReader reader(body, size);
@@ -272,16 +436,15 @@ void InferenceServer::HandleExportFrame(const ConnPtr& conn,
   std::string text;
   if (!ok) {
     text = decoded.status().ToString();
-  } else if (decoded.ValueOrDie().kind == 'm') {
+  } else if (decoded.ValueOrDie().kind ==
+             static_cast<uint8_t>(FrameKind::kMetrics)) {
     text = obs::PrometheusText();
   } else {
     text = obs::ChromeTraceJson(decoded.ValueOrDie().trace_id);
   }
-  ByteWriter out;
-  EncodeExportResponse(ok, text, &out);
-  MutexLock lock(&conn->write_mutex);
-  Status ignored = WriteFrame(conn->fd, out);
-  (void)ignored;
+  ByteWriter frame = NewFrame();
+  EncodeExportResponse(ok, text, &frame);
+  Send(conn, std::move(frame));
 }
 
 void InferenceServer::BatchLoop() {
@@ -378,7 +541,10 @@ void InferenceServer::RunGroup(std::vector<Pending*>& members,
   }
   if (live.empty()) return;
   const std::string& model_name = live[0]->request.model_name;
-  auto blob = store_->LoadModelBlob(model_name);
+  auto blob = store_ != nullptr
+                  ? store_->LoadModelBlob(model_name)
+                  : Result<std::string>(
+                        Status::NotFound("this server has no model store"));
   if (!blob.ok()) {
     ServeCode code = blob.status().code() == StatusCode::kNotFound
                          ? ServeCode::kModelNotFound
@@ -455,13 +621,9 @@ void InferenceServer::RunGroup(std::vector<Pending*>& members,
 
 void InferenceServer::Respond(const ConnPtr& conn,
                               const PredictResponse& response) {
-  ByteWriter body;
-  EncodePredictResponse(response, &body);
-  MutexLock lock(&conn->write_mutex);
-  // A failed write means the peer vanished; the I/O thread notices the
-  // hangup independently, so the error is dropped on purpose.
-  Status ignored = WriteFrame(conn->fd, body);
-  (void)ignored;
+  ByteWriter frame = NewFrame();
+  EncodePredictResponse(response, &frame);
+  Send(conn, std::move(frame));
 }
 
 void InferenceServer::RespondError(const ConnPtr& conn, uint64_t request_id,
@@ -471,6 +633,23 @@ void InferenceServer::RespondError(const ConnPtr& conn, uint64_t request_id,
   response.code = code;
   response.message = std::move(message);
   Respond(conn, response);
+}
+
+void InferenceServer::Send(const ConnPtr& conn, ByteWriter frame) {
+  std::vector<uint8_t> bytes = frame.Release();
+  // Callers keep bodies within a u32 (RunQuery checks the one response
+  // kind that could outgrow it).
+  uint32_t len = static_cast<uint32_t>(bytes.size() - sizeof(uint32_t));
+  std::memcpy(bytes.data(), &len, sizeof(len));
+  MutexLock lock(&conn->mutex);
+  if (conn->closed) return;
+  conn->queued_bytes += bytes.size();
+  conn->output.push_back(std::move(bytes));
+  // Only a frame with nothing queued ahead of it may go out right away,
+  // so frames never interleave. A failed send means the peer vanished;
+  // the loop sees the hangup on its own.
+  if (conn->output.size() == 1) (void)conn->Flush();
+  UpdateInterest(conn.get());
 }
 
 }  // namespace mlcs::serve

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -33,8 +35,9 @@ struct InferenceServerOptions {
   std::chrono::microseconds batch_linger{250};
   /// Admission bound: requests queued past this answer kOverloaded.
   size_t max_queue_requests = 256;
-  /// Inference executes as tasks on this pool (default: the process-wide
-  /// shared pool) — no thread is ever dedicated to a single connection.
+  /// Inference and SQL statements execute as tasks on this pool (default:
+  /// the process-wide shared pool) — no thread is ever dedicated to a
+  /// single connection.
   ThreadPool* pool = nullptr;
   /// Model snapshot cache (default: ModelCache::Global()). Content
   /// addressing keeps it correct while models are retrained live.
@@ -66,16 +69,24 @@ struct InferenceServerStats {  // lint:allow(adhoc-stats)
 /// in-database models (§5.1 snapshots + §2 vectorization, applied to the
 /// request path). Concurrently arriving predict requests coalesce into one
 /// vectorized Predict call per model, so per-request cost amortizes
-/// exactly like per-row UDF cost amortized in abl-vec.
+/// exactly like per-row UDF cost amortized in abl-vec. The same server
+/// answers SQL ('q') and export ('m'/'t') frames; it is the repo's one
+/// connection layer (client::TableServer is this server without models).
 ///
-/// Threading: one poll-based I/O thread owns every connection (no
-/// thread-per-connection), one batcher thread forms batches from a bounded
-/// admission queue, and inference itself runs as tasks on the shared
-/// ThreadPool. Responses may arrive out of request order; the request_id
-/// correlates them. Stop() drains: queued requests are answered, new ones
-/// get kShuttingDown, then threads join and sockets close.
+/// Threading: one epoll I/O thread owns the listen socket and every
+/// connection (no thread per connection), one batcher thread forms batches
+/// from a bounded admission queue, and inference and SQL statements run as
+/// tasks on the shared ThreadPool. Responses may arrive out of request
+/// order; the request_id correlates them. Every response goes through one
+/// non-blocking Send; what the socket does not take waits in the
+/// connection's output queue, and while that queue holds more than
+/// kMaxQueuedOutputBytes the loop stops reading from the connection — a
+/// client that never reads stalls only itself. Stop() drains: queued
+/// requests and running SQL statements are answered, new ones are refused,
+/// then threads join and sockets close.
 class InferenceServer {
  public:
+  /// `store` may be null: predicts then answer kModelNotFound.
   InferenceServer(Database* db, modelstore::ModelStore* store,
                   InferenceServerOptions options = {});
   ~InferenceServer();
@@ -85,7 +96,8 @@ class InferenceServer {
 
   /// Binds 127.0.0.1:`port` (0 → ephemeral) and starts serving.
   Status Start(uint16_t port = 0);
-  /// Drain-then-stop; idempotent.
+  /// Drain-then-stop; idempotent. Returns only after every SQL statement
+  /// has finished, so the caller may destroy the Database right after.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -93,17 +105,36 @@ class InferenceServer {
   InferenceServerStats stats() const;
 
  private:
+  /// Output a connection may hold queued before the loop stops reading it.
+  static constexpr size_t kMaxQueuedOutputBytes = 1u << 20;
+
   /// One client connection. The fd closes when the last reference drops,
   /// so an in-flight response can never write into a recycled fd.
   struct Conn {
     explicit Conn(int fd) : fd(fd) {}
     ~Conn();
+    /// Sends queued frames until the socket would block; false when the
+    /// peer is gone (the queue is then discarded).
+    [[nodiscard]] bool Flush() MLCS_REQUIRES(mutex);
+    bool Paused() const MLCS_REQUIRES(mutex) {
+      return query_running || queued_bytes > kMaxQueuedOutputBytes;
+    }
+
     const int fd;
-    /// Serializes response frames onto `fd` (the guarded state is the
-    /// socket write stream, not a member).
-    Mutex write_mutex{"Conn::write_mutex"};
-    /// Touched only by the single I/O thread; never shared.
+    /// Bytes read but not yet dispatched; touched only by the I/O thread.
     std::vector<uint8_t> inbuf;  // lint:allow(guarded-member)
+    /// Guards the output side, which responders on any thread share.
+    Mutex mutex{"Conn::mutex"};
+    /// Whole frames not yet on the wire; `sent` bytes of the front one are.
+    std::deque<std::vector<uint8_t>> output MLCS_GUARDED_BY(mutex);
+    size_t sent MLCS_GUARDED_BY(mutex) = 0;
+    size_t queued_bytes MLCS_GUARDED_BY(mutex) = 0;
+    /// One SQL statement at a time: reading waits while one runs.
+    bool query_running MLCS_GUARDED_BY(mutex) = false;
+    /// Set when the loop drops the connection; later responses vanish.
+    bool closed MLCS_GUARDED_BY(mutex) = false;
+    /// The epoll interest currently registered for `fd`.
+    uint32_t interest MLCS_GUARDED_BY(mutex) = 0;
   };
   using ConnPtr = std::shared_ptr<Conn>;
 
@@ -117,13 +148,20 @@ class InferenceServer {
 
   void IoLoop();
   void BatchLoop();
-  /// Drains readable bytes and dispatches complete frames; false when the
-  /// connection must close (peer gone or protocol violation).
-  [[nodiscard]] bool ReadAndDispatch(const ConnPtr& conn);
+  void Accept(std::unordered_map<int, ConnPtr>* conns);
+  /// Handles readiness `events` on `conn` (0 resumes a paused connection):
+  /// flush, read, dispatch; false when the connection must close.
+  [[nodiscard]] bool Service(const ConnPtr& conn, uint32_t events);
   [[nodiscard]] bool ProcessBufferedFrames(const ConnPtr& conn);
   void HandleFrame(const ConnPtr& conn, const uint8_t* body, size_t size);
-  /// Observability sideband ('m'/'t' frames): renders the export on the
-  /// I/O thread and answers inline — never queued behind inference.
+  void HandlePredictFrame(const ConnPtr& conn, const uint8_t* body,
+                          size_t size);
+  /// 'q': runs the statement as one pool task (query + result encoding).
+  void HandleQueryFrame(const ConnPtr& conn, const uint8_t* body,
+                        size_t size);
+  void RunQuery(const ConnPtr& conn, const QueryRequest& request);
+  /// 'm'/'t': renders the export on the I/O thread and answers inline —
+  /// never queued behind inference or SQL.
   void HandleExportFrame(const ConnPtr& conn, const uint8_t* body,
                          size_t size);
   void ExecuteBatch(std::vector<Pending> batch);
@@ -135,22 +173,38 @@ class InferenceServer {
   void Respond(const ConnPtr& conn, const PredictResponse& response);
   void RespondError(const ConnPtr& conn, uint64_t request_id, ServeCode code,
                     std::string message);
+  /// The one way out: `frame` is a u32 length placeholder plus the body.
+  /// Tries a non-blocking send when nothing is queued ahead of it, queues
+  /// the rest for the loop to flush on EPOLLOUT. Any thread may call it.
+  void Send(const ConnPtr& conn, ByteWriter frame);
+  /// Re-registers `conn`'s epoll interest from its output and pause state.
+  void UpdateInterest(Conn* conn) MLCS_REQUIRES(conn->mutex);
+  void Wake();
 
-  Database* db_;
-  modelstore::ModelStore* store_;
-  InferenceServerOptions options_;
-  ThreadPool* pool_;
-  modelstore::ModelCache* cache_;
+  Database* const db_;
+  modelstore::ModelStore* const store_;
+  const InferenceServerOptions options_;
+  ThreadPool* const pool_;
+  modelstore::ModelCache* const cache_;
 
-  std::atomic<int> listen_fd_{-1};
-  uint16_t port_ = 0;
-  int wake_pipe_[2] = {-1, -1};  // self-pipe to interrupt poll()
+  /// Set up by Start() before the threads exist; the listen socket then
+  /// belongs to the I/O thread, which closes it when draining starts.
+  uint16_t port_ = 0;        // lint:allow(guarded-member)
+  int listen_fd_ = -1;       // lint:allow(guarded-member)
+  int epoll_fd_ = -1;        // lint:allow(guarded-member)
+  int wake_fd_ = -1;         // lint:allow(guarded-member)
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> io_stop_{false};
-  std::thread io_thread_;
-  std::thread batch_thread_;
-  std::unique_ptr<BoundedQueue<Pending>> queue_;
+  /// Owned by Start()/Stop(), which the caller serializes.
+  std::unique_ptr<BoundedQueue<Pending>> queue_;  // lint:allow(guarded-member)
+
+  /// SQL statements in flight, and the connections whose statement just
+  /// finished and whose buffered frames the loop must now dispatch.
+  Mutex mutex_{"InferenceServer::mutex_"};
+  CondVar queries_done_;
+  size_t queries_running_ MLCS_GUARDED_BY(mutex_) = 0;
+  std::vector<ConnPtr> resumed_ MLCS_GUARDED_BY(mutex_);
 
   /// Per-server counters, each mirrored into the process-wide
   /// `mlcs.serve.*` registry series (so `mlcs_metrics()` aggregates across
@@ -171,7 +225,11 @@ class InferenceServer {
     obs::MirroredMaxGauge peak_batch_requests{
         "mlcs.serve.peak_batch_requests"};
   };
-  ServeCounters stats_;
+  ServeCounters stats_;  // lint:allow(guarded-member) atomic counters
+
+  /// Last, after everything the loops use; Start()/Stop() own them.
+  std::thread io_thread_;     // lint:allow(guarded-member)
+  std::thread batch_thread_;  // lint:allow(guarded-member)
 };
 
 }  // namespace mlcs::serve

@@ -1,15 +1,59 @@
 #include "serve/serve_protocol.h"
 
-#include "client/net_util.h"
+#include <sys/socket.h>
+
+#include <cerrno>
+#include <limits>
 
 namespace mlcs::serve {
 
 namespace {
-constexpr uint8_t kRequestKind = 'P';
-constexpr uint8_t kResponseKind = 'R';
-constexpr uint8_t kMetricsRequestKind = 'm';
-constexpr uint8_t kTraceRequestKind = 't';
-constexpr uint8_t kExportResponseKind = 'E';
+
+void WriteKind(FrameKind kind, ByteWriter* out) {
+  out->WriteU8(static_cast<uint8_t>(kind));
+}
+
+Status ExpectKind(FrameKind kind, ByteReader* in) {
+  MLCS_ASSIGN_OR_RETURN(uint8_t byte, in->ReadU8());
+  if (byte != static_cast<uint8_t>(kind)) {
+    return Status::ParseError("expected frame kind '" +
+                              std::string(1, static_cast<char>(kind)) +
+                              "', got byte " + std::to_string(byte));
+  }
+  return Status::OK();
+}
+
+/// Reads exactly `size` bytes; false on EOF or error.
+bool ReadExact(int fd, void* buffer, size_t size) {
+  uint8_t* p = static_cast<uint8_t*>(buffer);
+  size_t got = 0;
+  while (got < size) {
+    ssize_t n = ::recv(fd, p + got, size - got, 0);
+    if (n == 0) return false;  // orderly shutdown
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    got += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Writes all `size` bytes; false on error.
+bool WriteAll(int fd, const void* buffer, size_t size) {
+  const uint8_t* p = static_cast<const uint8_t*>(buffer);
+  size_t sent = 0;
+  while (sent < size) {
+    ssize_t n = ::send(fd, p + sent, size - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* LayoutToString(Layout layout) {
@@ -64,7 +108,7 @@ Status ServeCodeToStatus(ServeCode code, const std::string& message) {
 
 void EncodePredictRequest(const PredictRequest& request, Layout layout,
                           ByteWriter* out) {
-  out->WriteU8(kRequestKind);
+  WriteKind(FrameKind::kPredict, out);
   out->WriteU64(request.request_id);
   out->WriteU32(request.deadline_ms);
   out->WriteString(request.model_name);
@@ -86,11 +130,7 @@ void EncodePredictRequest(const PredictRequest& request, Layout layout,
 }
 
 Result<PredictRequest> DecodePredictRequest(ByteReader* in) {
-  MLCS_ASSIGN_OR_RETURN(uint8_t kind, in->ReadU8());
-  if (kind != kRequestKind) {
-    return Status::ParseError("unknown request kind byte " +
-                              std::to_string(kind));
-  }
+  MLCS_RETURN_IF_ERROR(ExpectKind(FrameKind::kPredict, in));
   PredictRequest request;
   MLCS_ASSIGN_OR_RETURN(request.request_id, in->ReadU64());
   MLCS_ASSIGN_OR_RETURN(request.deadline_ms, in->ReadU32());
@@ -141,14 +181,17 @@ Result<PredictRequest> DecodePredictRequest(ByteReader* in) {
 }
 
 uint64_t PeekRequestId(const uint8_t* body, size_t size) {
-  if (size < 1 + sizeof(uint64_t) || body[0] != kRequestKind) return 0;
+  if (size < 1 + sizeof(uint64_t) ||
+      body[0] != static_cast<uint8_t>(FrameKind::kPredict)) {
+    return 0;
+  }
   uint64_t id = 0;
   std::memcpy(&id, body + 1, sizeof(id));
   return id;
 }
 
 void EncodePredictResponse(const PredictResponse& response, ByteWriter* out) {
-  out->WriteU8(kResponseKind);
+  WriteKind(FrameKind::kPredictResponse, out);
   out->WriteU64(response.request_id);
   out->WriteU8(static_cast<uint8_t>(response.code));
   if (response.code == ServeCode::kOk) {
@@ -161,11 +204,7 @@ void EncodePredictResponse(const PredictResponse& response, ByteWriter* out) {
 }
 
 Result<PredictResponse> DecodePredictResponse(ByteReader* in) {
-  MLCS_ASSIGN_OR_RETURN(uint8_t kind, in->ReadU8());
-  if (kind != kResponseKind) {
-    return Status::ParseError("unknown response kind byte " +
-                              std::to_string(kind));
-  }
+  MLCS_RETURN_IF_ERROR(ExpectKind(FrameKind::kPredictResponse, in));
   PredictResponse response;
   MLCS_ASSIGN_OR_RETURN(response.request_id, in->ReadU64());
   MLCS_ASSIGN_OR_RETURN(uint8_t code_byte, in->ReadU8());
@@ -191,26 +230,70 @@ Result<PredictResponse> DecodePredictResponse(ByteReader* in) {
   return response;
 }
 
-bool IsExportRequest(const uint8_t* body, size_t size) {
-  return size >= 1 && (body[0] == kMetricsRequestKind ||
-                       body[0] == kTraceRequestKind);
+void EncodeQueryRequest(const std::string& sql, client::WireProtocol protocol,
+                        ByteWriter* out) {
+  WriteKind(FrameKind::kQuery, out);
+  out->WriteU8(static_cast<uint8_t>(protocol));
+  out->WriteRaw(sql.data(), sql.size());
+}
+
+Result<QueryRequest> DecodeQueryRequest(ByteReader* in) {
+  MLCS_RETURN_IF_ERROR(ExpectKind(FrameKind::kQuery, in));
+  MLCS_ASSIGN_OR_RETURN(uint8_t protocol, in->ReadU8());
+  if (protocol > static_cast<uint8_t>(client::WireProtocol::kColumnar)) {
+    return Status::InvalidArgument("bad protocol byte " +
+                                   std::to_string(protocol));
+  }
+  QueryRequest request;
+  request.protocol = static_cast<client::WireProtocol>(protocol);
+  request.sql.resize(in->remaining());
+  MLCS_RETURN_IF_ERROR(in->ReadRaw(request.sql.data(), request.sql.size()));
+  return request;
+}
+
+Status EncodeQueryResponse(const Table& table, client::WireProtocol protocol,
+                           ByteWriter* out) {
+  WriteKind(FrameKind::kQueryResponse, out);
+  out->WriteU8(1);
+  client::EncodeHeader(table.schema(), out);
+  MLCS_RETURN_IF_ERROR(
+      client::EncodeRows(table, protocol, 0, table.num_rows(), out));
+  client::EncodeEnd(out);
+  return Status::OK();
+}
+
+void EncodeQueryError(const std::string& message, ByteWriter* out) {
+  WriteKind(FrameKind::kQueryResponse, out);
+  out->WriteU8(0);
+  out->WriteString(message);
+}
+
+Result<TablePtr> DecodeQueryResponse(ByteReader* in,
+                                     client::WireProtocol protocol) {
+  MLCS_RETURN_IF_ERROR(ExpectKind(FrameKind::kQueryResponse, in));
+  MLCS_ASSIGN_OR_RETURN(uint8_t ok, in->ReadU8());
+  if (ok == 0) {
+    MLCS_ASSIGN_OR_RETURN(std::string message, in->ReadString());
+    return Status::NetworkError("server error: " + message);
+  }
+  return client::DecodeResultSet(in, protocol);
 }
 
 void EncodeMetricsRequest(ByteWriter* out) {
-  out->WriteU8(kMetricsRequestKind);
+  WriteKind(FrameKind::kMetrics, out);
 }
 
 void EncodeTraceExportRequest(uint64_t trace_id, ByteWriter* out) {
-  out->WriteU8(kTraceRequestKind);
+  WriteKind(FrameKind::kTrace, out);
   out->WriteU64(trace_id);
 }
 
 Result<ExportRequest> DecodeExportRequest(ByteReader* in) {
   ExportRequest request;
   MLCS_ASSIGN_OR_RETURN(request.kind, in->ReadU8());
-  if (request.kind == kTraceRequestKind) {
+  if (request.kind == static_cast<uint8_t>(FrameKind::kTrace)) {
     MLCS_ASSIGN_OR_RETURN(request.trace_id, in->ReadU64());
-  } else if (request.kind != kMetricsRequestKind) {
+  } else if (request.kind != static_cast<uint8_t>(FrameKind::kMetrics)) {
     return Status::ParseError("unknown export request kind byte " +
                               std::to_string(request.kind));
   }
@@ -219,21 +302,26 @@ Result<ExportRequest> DecodeExportRequest(ByteReader* in) {
 
 void EncodeExportResponse(bool ok, const std::string& text,
                           ByteWriter* out) {
-  out->WriteU8(kExportResponseKind);
+  WriteKind(FrameKind::kExportResponse, out);
   out->WriteU8(ok ? 1 : 0);
   out->WriteString(text);
 }
 
 Result<std::string> DecodeExportResponse(ByteReader* in) {
-  MLCS_ASSIGN_OR_RETURN(uint8_t kind, in->ReadU8());
-  if (kind != kExportResponseKind) {
-    return Status::ParseError("unknown export response kind byte " +
-                              std::to_string(kind));
-  }
+  MLCS_RETURN_IF_ERROR(ExpectKind(FrameKind::kExportResponse, in));
   MLCS_ASSIGN_OR_RETURN(uint8_t ok, in->ReadU8());
   MLCS_ASSIGN_OR_RETURN(std::string text, in->ReadString());
   if (ok == 0) return Status::Internal("export failed: " + text);
   return text;
+}
+
+Result<uint32_t> ResponseFrameLength(size_t body_bytes) {
+  if (body_bytes > std::numeric_limits<uint32_t>::max()) {
+    return Status::OutOfRange("response of " + std::to_string(body_bytes) +
+                              " bytes exceeds what a u32 frame length "
+                              "can declare");
+  }
+  return static_cast<uint32_t>(body_bytes);
 }
 
 Status WriteFrame(int fd, const ByteWriter& body) {
@@ -242,7 +330,7 @@ Status WriteFrame(int fd, const ByteWriter& body) {
   ByteWriter frame;
   frame.WriteU32(static_cast<uint32_t>(body.size()));
   frame.WriteRaw(body.data().data(), body.size());
-  if (!client::net::WriteAll(fd, frame.data().data(), frame.size())) {
+  if (!WriteAll(fd, frame.data().data(), frame.size())) {
     return Status::NetworkError("failed to write frame");
   }
   return Status::OK();
@@ -250,15 +338,11 @@ Status WriteFrame(int fd, const ByteWriter& body) {
 
 Result<std::vector<uint8_t>> ReadFrame(int fd) {
   uint32_t len = 0;
-  if (!client::net::ReadExact(fd, &len, sizeof(len))) {
+  if (!ReadExact(fd, &len, sizeof(len))) {
     return Status::NetworkError("connection closed while reading frame");
   }
-  if (len > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame of " + std::to_string(len) +
-                                   " bytes exceeds the frame cap");
-  }
   std::vector<uint8_t> body(len);
-  if (!client::net::ReadExact(fd, body.data(), body.size())) {
+  if (!ReadExact(fd, body.data(), body.size())) {
     return Status::NetworkError("connection closed mid-frame");
   }
   return body;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "client/protocol.h"
 #include "common/byte_buffer.h"
 #include "common/result.h"
 #include "ml/matrix.h"
@@ -45,8 +46,20 @@ const char* ServeCodeToString(ServeCode code);
 /// callers that do not need to distinguish the serving-specific codes.
 Status ServeCodeToStatus(ServeCode code, const std::string& message);
 
-/// Frame and payload sanity bounds; a frame declaring more is rejected
-/// with kBadRequest before any allocation happens.
+/// Every frame is a u32 body length, then the body; the body's first byte
+/// is its kind, and each request kind has one answer kind (DESIGN.md §17).
+enum class FrameKind : uint8_t {
+  kPredict = 'P',
+  kPredictResponse = 'R',
+  kQuery = 'q',
+  kQueryResponse = 'Q',
+  kMetrics = 'm',
+  kTrace = 't',
+  kExportResponse = 'E',
+};
+
+/// Request sanity bounds; a request frame declaring more is rejected with
+/// kBadRequest before any allocation happens.
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr uint32_t kMaxRequestRows = 1u << 20;
 inline constexpr uint32_t kMaxRequestFeatures = 4096;
@@ -88,19 +101,34 @@ uint64_t PeekRequestId(const uint8_t* body, size_t size);
 void EncodePredictResponse(const PredictResponse& response, ByteWriter* out);
 Result<PredictResponse> DecodePredictResponse(ByteReader* in);
 
-/// Observability sideband (DESIGN.md §15) on the same framed transport:
-/// kind 'm' requests a Prometheus text snapshot of the global registry,
-/// kind 't' (+ u64 trace id, 0 = all retained) a Chrome trace_event JSON
-/// export. Both are answered inline by the I/O thread with an 'E' frame —
-/// ok flag + text — so a scraper never queues behind inference.
+/// SQL on the same framing: kind 'q', a client::WireProtocol byte, then
+/// the SQL text (the rest of the frame). Answered with a 'Q' frame: ok
+/// flag 1 + the client/protocol.h result set, or ok flag 0 + a message.
+struct QueryRequest {
+  client::WireProtocol protocol = client::WireProtocol::kColumnar;
+  std::string sql;
+};
+
+void EncodeQueryRequest(const std::string& sql, client::WireProtocol protocol,
+                        ByteWriter* out);
+Result<QueryRequest> DecodeQueryRequest(ByteReader* in);
+
+Status EncodeQueryResponse(const Table& table, client::WireProtocol protocol,
+                           ByteWriter* out);
+void EncodeQueryError(const std::string& message, ByteWriter* out);
+/// The result set, or the server-side error as a Status.
+Result<TablePtr> DecodeQueryResponse(ByteReader* in,
+                                     client::WireProtocol protocol);
+
+/// Observability sideband (DESIGN.md §15): kind 'm' requests a Prometheus
+/// text snapshot of the global registry, kind 't' (+ u64 trace id, 0 = all
+/// retained) a Chrome trace_event JSON export. Both are answered inline by
+/// the I/O thread with an 'E' frame — ok flag + text — so a scraper never
+/// queues behind inference or SQL.
 struct ExportRequest {
   uint8_t kind = 0;       // 'm' or 't'
   uint64_t trace_id = 0;  // 't' only
 };
-
-/// True when `body` opens with an export request kind (how HandleFrame
-/// routes between predict and the sideband without trial decoding).
-bool IsExportRequest(const uint8_t* body, size_t size);
 
 void EncodeMetricsRequest(ByteWriter* out);
 void EncodeTraceExportRequest(uint64_t trace_id, ByteWriter* out);
@@ -110,7 +138,15 @@ void EncodeExportResponse(bool ok, const std::string& text, ByteWriter* out);
 /// The exported text, or the server-side error as a Status.
 Result<std::string> DecodeExportResponse(ByteReader* in);
 
-/// Blocking frame transport: a u32 length prefix followed by the body.
+/// The u32 length prefix for a response body of `body_bytes`. Responses
+/// are not held to kMaxFrameBytes, but one larger than a u32 can declare
+/// is an error here, so the server answers with an error frame instead of
+/// sending a wrapped length.
+Result<uint32_t> ResponseFrameLength(size_t body_bytes);
+
+/// Blocking client transport: a u32 length prefix followed by the body.
+/// ReadFrame accepts any length a u32 declares (result sets may exceed the
+/// request cap).
 Status WriteFrame(int fd, const ByteWriter& body);
 Result<std::vector<uint8_t>> ReadFrame(int fd);
 

@@ -6,12 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <thread>
+#include <filesystem>
+#include <memory>
+#include <vector>
 
 #include "client/client.h"
-#include "client/net_util.h"
 #include "client/server.h"
 #include "common/random.h"
+#include "serve/serve_protocol.h"
 
 namespace mlcs::client {
 namespace {
@@ -224,8 +226,15 @@ TEST(ProtocolTest, TruncatedStreamRejected) {
 // ---------------------------------------------------------------------------
 // Negative paths over a real socket: malformed frames must produce clean
 // Status errors on the peer that caused them — never a hang, crash, or a
-// poisoned server. Each test drives TableServer with raw bytes.
+// poisoned server. Each test drives TableServer with raw bytes on the
+// u32-length framing (serve/serve_protocol.h).
 // ---------------------------------------------------------------------------
+
+/// Writes raw bytes past the framing (tiny writes on a fresh socket).
+bool SendRaw(int fd, const void* data, size_t size) {
+  return ::send(fd, data, size, MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(size);
+}
 
 class MalformedFrameTest : public ::testing::Test {
  protected:
@@ -255,7 +264,7 @@ class MalformedFrameTest : public ::testing::Test {
   /// The server must still serve a well-formed client after whatever abuse
   /// the test inflicted — proof one bad peer cannot poison it.
   void ExpectServerStillHealthy() {
-    TableClient client;
+    Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
     auto r = client.Query("SELECT COUNT(*) FROM t", WireProtocol::kColumnar);
     ASSERT_TRUE(r.ok());
@@ -268,48 +277,45 @@ class MalformedFrameTest : public ::testing::Test {
 
 TEST_F(MalformedFrameTest, TruncatedLengthPrefixDisconnect) {
   int fd = RawConnect();
-  // Protocol byte plus only 2 of the 4 length bytes, then hang up.
-  const uint8_t partial[] = {0, 0x10, 0x00};
-  ASSERT_TRUE(net::WriteAll(fd, partial, sizeof(partial)));
+  // Only 2 of the 4 length-prefix bytes, then hang up.
+  const uint8_t partial[] = {0x10, 0x00};
+  ASSERT_TRUE(SendRaw(fd, partial, sizeof(partial)));
   ::close(fd);
   ExpectServerStillHealthy();
 }
 
 TEST_F(MalformedFrameTest, OversizedDeclaredLengthAnswered) {
   int fd = RawConnect();
-  uint8_t protocol_byte = 0;
   uint32_t absurd_len = 0xF0000000u;  // ~4 GB claimed, nothing sent
-  ASSERT_TRUE(net::WriteAll(fd, &protocol_byte, 1));
-  ASSERT_TRUE(net::WriteAll(fd, &absurd_len, sizeof(absurd_len)));
+  ASSERT_TRUE(SendRaw(fd, &absurd_len, sizeof(absurd_len)));
   // The server must answer with an error frame (not silently hang up, and
-  // certainly not allocate 4 GB).
-  uint64_t frame_len = 0;
-  ASSERT_TRUE(net::ReadExact(fd, &frame_len, sizeof(frame_len)));
-  std::vector<uint8_t> frame(frame_len);
-  ASSERT_TRUE(net::ReadExact(fd, frame.data(), frame.size()));
-  ByteReader reader(frame);
-  EXPECT_EQ(reader.ReadU8().ValueOrDie(), 1);  // error flag
-  std::string message = reader.ReadString().ValueOrDie();
-  EXPECT_NE(message.find("frame cap"), std::string::npos);
+  // certainly not allocate 4 GB), then hang up.
+  auto frame = serve::ReadFrame(fd);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ByteReader reader(frame.ValueOrDie());
+  auto response = serve::DecodePredictResponse(&reader);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.ValueOrDie().code, serve::ServeCode::kBadRequest);
+  EXPECT_NE(response.ValueOrDie().message.find("frame cap"),
+            std::string::npos);
+  EXPECT_FALSE(serve::ReadFrame(fd).ok());
   ::close(fd);
   ExpectServerStillHealthy();
 }
 
 TEST_F(MalformedFrameTest, UnknownProtocolByteAnswered) {
   int fd = RawConnect();
-  uint8_t protocol_byte = 0x7F;
-  std::string sql = "SELECT 1";
-  uint32_t sql_len = static_cast<uint32_t>(sql.size());
-  ASSERT_TRUE(net::WriteAll(fd, &protocol_byte, 1));
-  ASSERT_TRUE(net::WriteAll(fd, &sql_len, sizeof(sql_len)));
-  ASSERT_TRUE(net::WriteAll(fd, sql.data(), sql.size()));
-  uint64_t frame_len = 0;
-  ASSERT_TRUE(net::ReadExact(fd, &frame_len, sizeof(frame_len)));
-  std::vector<uint8_t> frame(frame_len);
-  ASSERT_TRUE(net::ReadExact(fd, frame.data(), frame.size()));
-  ByteReader reader(frame);
-  EXPECT_EQ(reader.ReadU8().ValueOrDie(), 1);
-  EXPECT_NE(reader.ReadString().ValueOrDie().find("bad protocol"),
+  ByteWriter body;
+  body.WriteU8('q');
+  body.WriteU8(0x7F);  // no such WireProtocol
+  body.WriteRaw("SELECT 1", 8);
+  ASSERT_TRUE(serve::WriteFrame(fd, body).ok());
+  auto frame = serve::ReadFrame(fd);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ByteReader reader(frame.ValueOrDie());
+  auto result = serve::DecodeQueryResponse(&reader, WireProtocol::kPgText);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("bad protocol"),
             std::string::npos);
   ::close(fd);
   ExpectServerStillHealthy();
@@ -317,38 +323,44 @@ TEST_F(MalformedFrameTest, UnknownProtocolByteAnswered) {
 
 TEST_F(MalformedFrameTest, MidFrameDisconnect) {
   int fd = RawConnect();
-  uint8_t protocol_byte = 1;
-  uint32_t sql_len = 1000;  // promise 1000 bytes ...
-  ASSERT_TRUE(net::WriteAll(fd, &protocol_byte, 1));
-  ASSERT_TRUE(net::WriteAll(fd, &sql_len, sizeof(sql_len)));
-  ASSERT_TRUE(net::WriteAll(fd, "SELECT", 6));  // ... deliver 6, vanish
+  uint32_t frame_len = 1000;  // promise 1000 bytes ...
+  const uint8_t head[] = {'q', 1};
+  ASSERT_TRUE(SendRaw(fd, &frame_len, sizeof(frame_len)));
+  ASSERT_TRUE(SendRaw(fd, head, sizeof(head)));
+  ASSERT_TRUE(SendRaw(fd, "SELECT", 6));  // ... deliver 8, vanish
   ::close(fd);
   ExpectServerStillHealthy();
 }
 
-/// Regression for the unbounded connection_threads_ growth: after many
-/// sequential connections the tracked-thread count must stay O(concurrent
-/// connections), not O(total connections ever accepted).
-TEST_F(MalformedFrameTest, ConnectionThreadsAreReaped) {
-  for (int i = 0; i < 32; ++i) {
-    TableClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
-    ASSERT_TRUE(
-        client.Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary)
-            .ok());
-    client.Disconnect();
+size_t ProcessThreadCount() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
   }
-  // Each new connection reaps previously finished threads; give the last
-  // disconnect a moment to land, then connect once more to trigger a reap.
-  TableClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
-  ASSERT_TRUE(
-      client.Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary).ok());
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    if (server_->tracked_connection_threads() <= 4) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  return count;
+}
+
+/// Connections cost no threads: one I/O thread serves them all, so 64
+/// concurrent connections, each with a finished query, leave the process
+/// with no more threads than one connection does.
+TEST_F(MalformedFrameTest, ConnectionsAddNoThreads) {
+  auto query = [](Client* client) {
+    return client->Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary)
+        .ok();
+  };
+  Client first;
+  ASSERT_TRUE(first.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(query(&first));
+  size_t with_one = ProcessThreadCount();
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 64; ++i) {
+    clients.push_back(std::make_unique<Client>());
+    ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server_->port()).ok());
+    ASSERT_TRUE(query(clients.back().get()));
   }
-  EXPECT_LE(server_->tracked_connection_threads(), 4u);
+  EXPECT_LE(ProcessThreadCount(), with_one);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 
 #include "bufpool/buffer_pool.h"
 #include "bufpool/zone_map.h"
-#include "client/inference_client.h"
+#include "client/client.h"
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -342,7 +342,7 @@ TEST(SanitizerStressTest, InferenceServerChurn) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      client::InferenceClient client;
+      client::Client client;
       if (!client.Connect("127.0.0.1", port).ok()) {
         unexpected.fetch_add(1);
         return;
@@ -471,7 +471,7 @@ TEST(SanitizerStressTest, MorselOperatorsShareServingPool) {
   std::vector<std::thread> predictors;
   for (int c = 0; c < 2; ++c) {
     predictors.emplace_back([&, c] {
-      client::InferenceClient client;
+      client::Client client;
       if (!client.Connect("127.0.0.1", port).ok()) {
         failures.fetch_add(1);
         return;
@@ -539,7 +539,7 @@ TEST(SanitizerStressTest, TracingConcurrentQueriesAndServing) {
     });
   }
   workers.emplace_back([&unexpected, port] {
-    client::InferenceClient client;
+    client::Client client;
     if (!client.Connect("127.0.0.1", port).ok()) {
       unexpected.fetch_add(1);
       return;
@@ -766,7 +766,7 @@ TEST(SanitizerStressTest, SharedForestPredictNestedInServing) {
   }
   for (int c = 0; c < 2; ++c) {
     threads.emplace_back([&, c] {
-      client::InferenceClient client;
+      client::Client client;
       if (!client.Connect("127.0.0.1", port).ok()) {
         failures.fetch_add(1);
         return;

@@ -11,13 +11,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <limits>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "client/inference_client.h"
-#include "client/net_util.h"
+#include "client/client.h"
 #include "client/protocol.h"
 #include "common/random.h"
 #include "ml/logistic_regression.h"
@@ -233,6 +233,51 @@ TEST(ServeProtocolTest2, ResponseRoundTripsOkAndError) {
   EXPECT_FALSE(ServeCodeToStatus(back2.code, back2.message).ok());
 }
 
+TEST(ServeProtocolTest2, QueryFramesRoundTrip) {
+  ByteWriter request;
+  EncodeQueryRequest("SELECT 1", client::WireProtocol::kMyBinary, &request);
+  ByteReader request_reader(request.data());
+  QueryRequest decoded = DecodeQueryRequest(&request_reader).ValueOrDie();
+  EXPECT_EQ(decoded.sql, "SELECT 1");
+  EXPECT_EQ(decoded.protocol, client::WireProtocol::kMyBinary);
+
+  Schema schema;
+  schema.AddField("x", TypeId::kInt32);
+  auto table = Table::Make(std::move(schema));
+  ASSERT_TRUE(table->AppendRow({Value::Int32(7)}).ok());
+  ByteWriter response;
+  ASSERT_TRUE(
+      EncodeQueryResponse(*table, client::WireProtocol::kMyBinary, &response)
+          .ok());
+  ByteReader response_reader(response.data());
+  TablePtr back =
+      DecodeQueryResponse(&response_reader, client::WireProtocol::kMyBinary)
+          .ValueOrDie();
+  EXPECT_EQ(back->GetValue(0, 0).ValueOrDie(), Value::Int32(7));
+
+  ByteWriter error;
+  EncodeQueryError("no such table", &error);
+  ByteReader error_reader(error.data());
+  auto failed =
+      DecodeQueryResponse(&error_reader, client::WireProtocol::kMyBinary);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("no such table"),
+            std::string::npos);
+}
+
+/// Responses are not held to the 64 MiB request cap, but a body a u32
+/// cannot declare is an error (answered with an error frame), never a
+/// wrapped length.
+TEST(ServeProtocolTest2, ResponseFrameLengthStopsAtU32) {
+  constexpr uint32_t kU32Max = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(ResponseFrameLength(0).ValueOrDie(), 0u);
+  EXPECT_EQ(ResponseFrameLength(size_t{kMaxFrameBytes} + 1).ValueOrDie(),
+            kMaxFrameBytes + 1);
+  EXPECT_EQ(ResponseFrameLength(kU32Max).ValueOrDie(), kU32Max);
+  EXPECT_FALSE(ResponseFrameLength(size_t{kU32Max} + 1).ok());
+  EXPECT_FALSE(ResponseFrameLength(size_t{kU32Max} * 4).ok());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end server
 // ---------------------------------------------------------------------------
@@ -240,6 +285,12 @@ TEST(ServeProtocolTest2, ResponseRoundTripsOkAndError) {
 /// Fits a small two-class logistic regression and returns the matrix the
 /// tests predict on plus the labels the fitted model itself produces (the
 /// server must agree with a direct local Predict).
+/// Writes raw bytes past the framing (tiny writes on a fresh socket).
+bool SendRaw(int fd, const void* data, size_t size) {
+  return ::send(fd, data, size, MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(size);
+}
+
 class InferenceServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -292,7 +343,7 @@ class InferenceServerTest : public ::testing::Test {
 TEST_F(InferenceServerTest, PredictsOverBothLayouts) {
   auto server = MakeServer({});
   for (Layout layout : {Layout::kRowMajor, Layout::kColumnar}) {
-    client::InferenceClient client;
+    client::Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
     client::InferenceCallOptions opts;
     opts.layout = layout;
@@ -310,7 +361,7 @@ TEST_F(InferenceServerTest, PredictsOverBothLayouts) {
 
 TEST_F(InferenceServerTest, MetricsAndTraceExportFrames) {
   auto server = MakeServer({});
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   // A predict first, so the scrape reflects real serving work.
   ASSERT_TRUE(client.Predict("m", query_).ok());
@@ -331,7 +382,7 @@ TEST_F(InferenceServerTest, MetricsAndTraceExportFrames) {
 
 TEST_F(InferenceServerTest, UnknownModelAnswersModelNotFound) {
   auto server = MakeServer({});
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   auto response = client.Call("no_such_model", query_).ValueOrDie();
   EXPECT_EQ(response.code, ServeCode::kModelNotFound);
@@ -339,7 +390,7 @@ TEST_F(InferenceServerTest, UnknownModelAnswersModelNotFound) {
 
 TEST_F(InferenceServerTest, MalformedFrameAnswersBadRequest) {
   auto server = MakeServer({});
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   // Hand-build a frame whose body is garbage but carries a request id.
   ByteWriter body;
@@ -357,7 +408,7 @@ TEST_F(InferenceServerTest, MalformedFrameAnswersBadRequest) {
 
 TEST_F(InferenceServerTest, WrongFeatureCountAnswersBadRequest) {
   auto server = MakeServer({});
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   auto response = client.Call("m", TestMatrix(3, 7)).ValueOrDie();
   EXPECT_EQ(response.code, ServeCode::kBadRequest);
@@ -382,7 +433,7 @@ TEST_F(InferenceServerTest, MicroBatcherCoalescesConcurrentRequests) {
   std::atomic<int> correct{0};
   for (int i = 0; i < kRequests; ++i) {
     threads.emplace_back([this, &server, &correct] {
-      client::InferenceClient client;
+      client::Client client;
       if (!client.Connect("127.0.0.1", server->port()).ok()) return;
       auto labels = client.Predict("m", query_);
       if (labels.ok() && labels.ValueOrDie() == expected_) {
@@ -430,7 +481,7 @@ TEST_F(InferenceServerTest, OverloadAnswersOverloadedWithBoundedQueue) {
   };
   auto server = MakeServer(opts);
 
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   constexpr int kTotal = 8;
   // First request; wait until the batcher has taken it and is frozen, so
@@ -483,7 +534,7 @@ TEST_F(InferenceServerTest, ExpiredDeadlineAnswersDeadlineExceeded) {
     cv.wait(lock, [&] { return release; });
   };
   auto server = MakeServer(opts);
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   client::InferenceCallOptions call;
   call.deadline_ms = 1;  // expires while the batcher is frozen
@@ -503,7 +554,7 @@ TEST_F(InferenceServerTest, UnbatchedModeStillAnswersEverything) {
   InferenceServerOptions opts;
   opts.batching_enabled = false;
   auto server = MakeServer(opts);
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   for (int i = 0; i < 5; ++i) {
     auto labels = client.Predict("m", query_).ValueOrDie();
@@ -532,7 +583,7 @@ TEST_F(InferenceServerTest, DrainThenStopAnswersQueuedRequests) {
     cv.wait(lock, [&] { return release; });
   };
   auto server = MakeServer(opts);
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   constexpr int kQueued = 4;
   for (int i = 0; i < kQueued; ++i) {
@@ -577,7 +628,7 @@ TEST_F(InferenceServerTest, RequestsAfterDrainAnswerShuttingDown) {
     cv.wait(lock, [&] { return release; });
   };
   auto server = MakeServer(opts);
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   ASSERT_TRUE(client.Send("m", query_).ok());  // occupies the batcher
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -602,32 +653,32 @@ TEST_F(InferenceServerTest, RequestsAfterDrainAnswerShuttingDown) {
 TEST_F(InferenceServerTest, MidFrameClientDisconnectIsHarmless) {
   auto server = MakeServer({});
   {
-    client::InferenceClient client;
+    client::Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
     // A length prefix promising a frame that never comes.
     uint32_t len = 100;
     ASSERT_TRUE(
-        client::net::WriteAll(client.fd(), &len, sizeof(len)));
+        SendRaw(client.fd(), &len, sizeof(len)));
     client.Disconnect();
   }
   // Server still healthy for the next client.
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   EXPECT_EQ(client.Predict("m", query_).ValueOrDie(), expected_);
 }
 
 TEST_F(InferenceServerTest, OversizedFrameClosesOffendingConnection) {
   auto server = MakeServer({});
-  client::InferenceClient bad;
+  client::Client bad;
   ASSERT_TRUE(bad.Connect("127.0.0.1", server->port()).ok());
   uint32_t absurd = kMaxFrameBytes + 1;
-  ASSERT_TRUE(client::net::WriteAll(bad.fd(), &absurd, sizeof(absurd)));
+  ASSERT_TRUE(SendRaw(bad.fd(), &absurd, sizeof(absurd)));
   auto response = bad.Receive().ValueOrDie();
   EXPECT_EQ(response.code, ServeCode::kBadRequest);
   // After the error response the server hangs up on the bad client.
   EXPECT_FALSE(bad.Receive().ok());
   // Other clients are unaffected.
-  client::InferenceClient good;
+  client::Client good;
   ASSERT_TRUE(good.Connect("127.0.0.1", server->port()).ok());
   EXPECT_EQ(good.Predict("m", query_).ValueOrDie(), expected_);
 }
@@ -638,7 +689,7 @@ TEST_F(InferenceServerTest, StopIsIdempotentAndRestartable) {
   server->Stop();
   EXPECT_FALSE(server->running());
   ASSERT_TRUE(server->Start(0).ok());
-  client::InferenceClient client;
+  client::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   EXPECT_EQ(client.Predict("m", query_).ValueOrDie(), expected_);
   server->Stop();
@@ -678,31 +729,11 @@ Result<std::vector<uint8_t>> ReadFrameWithin(int fd, int timeout_ms) {
   return ReadFrame(fd);
 }
 
-/// An SQL frame: kind 'q', the result-set protocol byte, then the SQL text.
 Status SendQueryFrame(int fd, const std::string& sql,
                       client::WireProtocol protocol) {
   ByteWriter body;
-  body.WriteU8('q');
-  body.WriteU8(static_cast<uint8_t>(protocol));
-  body.WriteRaw(sql.data(), sql.size());
+  EncodeQueryRequest(sql, protocol, &body);
   return WriteFrame(fd, body);
-}
-
-/// Decodes a 'Q' answer: kind, ok flag, then a result set or a message.
-Result<TablePtr> DecodeQueryFrame(const std::vector<uint8_t>& frame,
-                                  client::WireProtocol protocol) {
-  ByteReader reader(frame);
-  MLCS_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8());
-  if (kind != 'Q') {
-    return Status::ParseError("expected a 'Q' frame, got kind " +
-                              std::to_string(kind));
-  }
-  MLCS_ASSIGN_OR_RETURN(uint8_t ok, reader.ReadU8());
-  if (ok == 0) {
-    MLCS_ASSIGN_OR_RETURN(std::string message, reader.ReadString());
-    return Status::Internal(message);
-  }
-  return client::DecodeResultSet(&reader, protocol);
 }
 
 /// Sends frames on `fd` from a background thread until the count is done
@@ -733,7 +764,7 @@ class SlowReaderTest : public InferenceServerTest {
  protected:
   /// A 1-row predict on its own connection, answered within the bound.
   void ExpectPredictAnswered(uint16_t port) {
-    client::InferenceClient client;
+    client::Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
     PredictRequest request;
     request.request_id = 1;
@@ -752,15 +783,16 @@ class SlowReaderTest : public InferenceServerTest {
 
   /// An SQL statement on its own connection, answered within the bound.
   void ExpectQueryAnswered(uint16_t port) {
-    client::InferenceClient client;
+    client::Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
     ASSERT_TRUE(SendQueryFrame(client.fd(), "SELECT COUNT(*) FROM big",
                                client::WireProtocol::kMyBinary)
                     .ok());
     auto frame = ReadFrameWithin(client.fd(), kAnswerWithinMs);
     ASSERT_TRUE(frame.ok()) << "query: " << frame.status().ToString();
+    ByteReader reader(frame.ValueOrDie());
     auto table =
-        DecodeQueryFrame(frame.ValueOrDie(), client::WireProtocol::kMyBinary);
+        DecodeQueryResponse(&reader, client::WireProtocol::kMyBinary);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     EXPECT_EQ(table.ValueOrDie()->GetValue(0, 0).ValueOrDie(),
               Value::Int64(static_cast<int64_t>(kBigRows)));

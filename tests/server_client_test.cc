@@ -29,7 +29,7 @@ class ServerClientTest : public ::testing::Test {
 TEST_F(ServerClientTest, QueryOverBothProtocols) {
   for (WireProtocol protocol :
        {WireProtocol::kPgText, WireProtocol::kMyBinary}) {
-    TableClient client;
+    Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
     auto t = client.Query("SELECT * FROM t ORDER BY x", protocol)
                  .ValueOrDie();
@@ -41,7 +41,7 @@ TEST_F(ServerClientTest, QueryOverBothProtocols) {
 }
 
 TEST_F(ServerClientTest, MultipleQueriesOnOneConnection) {
-  TableClient client;
+  Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   for (int i = 0; i < 5; ++i) {
     auto t = client.Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary)
@@ -51,7 +51,7 @@ TEST_F(ServerClientTest, MultipleQueriesOnOneConnection) {
 }
 
 TEST_F(ServerClientTest, ServerErrorsPropagateToClient) {
-  TableClient client;
+  Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   auto r = client.Query("SELECT * FROM missing", WireProtocol::kPgText);
   ASSERT_FALSE(r.ok());
@@ -66,7 +66,7 @@ TEST_F(ServerClientTest, ConcurrentClients) {
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([this, &failures] {
-      TableClient client;
+      Client client;
       if (!client.Connect("127.0.0.1", server_->port()).ok()) {
         failures.fetch_add(1);
         return;
@@ -87,12 +87,12 @@ TEST_F(ServerClientTest, ConcurrentClients) {
 }
 
 TEST_F(ServerClientTest, QueryWithoutConnectFails) {
-  TableClient client;
+  Client client;
   EXPECT_FALSE(client.Query("SELECT 1", WireProtocol::kPgText).ok());
 }
 
 TEST_F(ServerClientTest, ConnectToClosedPortFails) {
-  TableClient client;
+  Client client;
   // Port 1 is essentially never listening.
   EXPECT_FALSE(client.Connect("127.0.0.1", 1).ok());
 }
@@ -106,7 +106,7 @@ TEST_F(ServerClientTest, StopIsIdempotent) {
 /// The serving path replays identical SELECT text per request: after the
 /// first, the server answers from the prepared-plan cache.
 TEST_F(ServerClientTest, RepeatedQueriesHitPlanCache) {
-  TableClient client;
+  Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   const std::string sql = "SELECT SUM(x) FROM t WHERE x > 1";
   obs::Counter* hits =
@@ -120,10 +120,10 @@ TEST_F(ServerClientTest, RepeatedQueriesHitPlanCache) {
   EXPECT_GE(db_.plan_cache_size(), 1u);
 }
 
-/// The 0xF0/0xF1 observability verbs ride the same connection as queries:
-/// a monitoring scrape needs no second endpoint.
-TEST_F(ServerClientTest, MetricsAndTraceExportVerbs) {
-  TableClient client;
+/// The 'm'/'t' export frames ride the same connection as queries: a
+/// monitoring scrape needs no second endpoint.
+TEST_F(ServerClientTest, MetricsAndTraceExportFrames) {
+  Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   // Run a traced query so the flight recorder holds something.
   obs::FlightRecorder::Global().Clear();

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <vector>
 
 namespace mlcs {
 namespace {
@@ -67,6 +70,25 @@ TEST(ThreadPoolTest, ChunkCountClampedToWork) {
   });
   EXPECT_LE(chunks.load(), 3);
   EXPECT_GE(chunks.load(), 1);
+}
+
+/// A ParallelFor issued from inside every worker of the pool completes:
+/// callers run chunks themselves instead of waiting on queued ones (the
+/// server runs SQL statements, which may fit forests, as pool tasks).
+TEST(ThreadPoolTest, ParallelForNestedInEveryWorkerCompletes) {
+  ThreadPool pool(2);
+  std::atomic<int> hits{0};
+  std::vector<std::future<void>> outer;
+  for (int w = 0; w < 2; ++w) {
+    outer.push_back(pool.Submit([&pool, &hits] {
+      pool.ParallelFor(16, [&hits](size_t) { hits.fetch_add(1); });
+    }));
+  }
+  for (auto& f : outer) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  }
+  EXPECT_EQ(hits.load(), 32);
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {

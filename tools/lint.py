@@ -46,11 +46,11 @@ Rules
                         files, no <bits/...> internals.
   using-namespace-std   `using namespace std;` is forbidden in headers.
   naked-thread          Constructing `std::thread` outside common/thread_pool
-                        and client/server (and tests/) — operators and
-                        library code must run work on the shared ThreadPool
-                        (ParallelMorsels / Submit) so MLCS_THREADS stays the
-                        one parallelism knob. Dedicated long-lived loops
-                        (e.g. a server's accept thread) opt out with
+                        (and tests/) — operators and library code must run
+                        work on the shared ThreadPool (ParallelMorsels /
+                        Submit) so MLCS_THREADS stays the one parallelism
+                        knob. Dedicated long-lived loops (e.g. a server's
+                        I/O thread) opt out with
                         `// lint:allow(naked-thread)`.
   exec-operator-call    Calling the relational operator entry points
                         (`exec::FilterTable` / `HashJoin` / `HashGroupBy` /
@@ -480,7 +480,7 @@ def check_includes(path, lines, headers):
 
 
 NAKED_THREAD_RE = re.compile(r"\bstd\s*::\s*thread\s*[({]")
-NAKED_THREAD_ALLOWED_PATHS = ("common/thread_pool", "client/server")
+NAKED_THREAD_ALLOWED_PATHS = ("common/thread_pool",)
 
 
 def check_naked_thread(path, relpath, lines):
