@@ -196,8 +196,7 @@ FidelityResult RunWaitFidelity() {
   FidelityResult result;
   obs::WaitSite* site = obs::WaitStats::Global().GetSite(
       obs::WaitKind::kQueue, "bench.fidelity");
-  uint64_t count_before = site->Count();
-  uint64_t total_before = site->TotalNs();
+  const obs::Histogram::Counts before = site->histogram().Read();
   constexpr int kSleeps = 20;
   constexpr auto kSleep = std::chrono::milliseconds(2);
   WallTimer timer;
@@ -210,9 +209,10 @@ FidelityResult RunWaitFidelity() {
             .count()));
   }
   result.wall_ms = timer.ElapsedMillis();
-  result.count = site->Count() - count_before;
+  const obs::Histogram::Counts after = site->histogram().Read();
+  result.count = after.Count() - before.Count();
   result.recorded_ms =
-      static_cast<double>(site->TotalNs() - total_before) / 1e6;
+      static_cast<double>(after.sum_ns - before.sum_ns) / 1e6;
   result.ratio =
       result.wall_ms > 0 ? result.recorded_ms / result.wall_ms : 0;
   return result;
@@ -362,11 +362,7 @@ int main() {
   bench::JsonWriter json;
   json.BeginObject();
   json.Field("benchmark", "ablation_observability");
-  json.Field("mlcs_threads",
-             static_cast<uint64_t>(ThreadPool::DefaultThreadCount()));
-  json.Field("plan_optimizer",
-             bench::PlanOptimizerEnabledByEnv() ? "on" : "off");
-  bench::WriteMetricsBlock(&json);
+  bench::WriteEngineBlocks(&json);
   json.Key("workload");
   json.BeginObject();
   json.Field("queries_per_thread", config.queries_per_thread);

@@ -9,7 +9,7 @@
 ///   nthreads=1 vs 2 vs 4   — scaling (reported, not gated: CI has 1 core).
 ///
 /// Results land in BENCH_ablation_parallel_exec.json; the context block's
-/// "mlcs_threads" field records the pool size MLCS_THREADS would give.
+/// "mlcs_settings" entry MLCS_THREADS records the default pool size.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -22,6 +22,7 @@
 #include "exec/kernels.h"
 #include "exec/sort.h"
 #include "obs/trace.h"
+#include "sql/database.h"
 
 namespace {
 

@@ -354,11 +354,7 @@ int main() {
   bench::JsonWriter json;
   json.BeginObject();
   json.Field("benchmark", "ablation_serving");
-  json.Field("mlcs_threads",
-             static_cast<uint64_t>(ThreadPool::DefaultThreadCount()));
-  json.Field("plan_optimizer",
-             bench::PlanOptimizerEnabledByEnv() ? "on" : "off");
-  bench::WriteMetricsBlock(&json);
+  bench::WriteEngineBlocks(&json);
   json.Key("workload");
   json.BeginObject();
   json.Field("requests", config.requests);

@@ -10,15 +10,12 @@
 //  - honors MLCS_BENCH_MIN_TIME (seconds, e.g. "0.01"), letting
 //    scripts/check.sh --bench-smoke run every binary at tiny scale without
 //    per-binary flag plumbing, and
-//  - records the effective thread-pool size ("mlcs_threads" in the JSON
-//    context block), so a result file always says what parallelism it was
-//    measured at (MLCS_THREADS env or hardware_concurrency), and
-//  - records the planner configuration ("plan_optimizer" on/off, from
-//    MLCS_DISABLE_OPTIMIZER) and the compressed-execution knob
-//    ("mlcs_encoding" on/off, from MLCS_DISABLE_ENCODING) plus an
-//    "mlcs_metrics" block with the full metrics-registry snapshot (plan
-//    cache, thread pool, serving, scan bytes, encode counters), so
-//    results carry the counters behind their timings.
+//  - splices the engine blocks into the JSON context block: the whole
+//    settings table ("mlcs_settings": thread count, optimizer, encoding
+//    and every other knob with its source) and the metrics-registry
+//    snapshot ("mlcs_metrics": plan cache, thread pool, serving, scan
+//    bytes, encode counters), so results say what configuration they
+//    measured and carry the counters behind their timings.
 //
 // Usage, at the bottom of the bench .cc file:
 //   MLCS_BENCH_MAIN(ablation_protocols)
@@ -32,19 +29,16 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "json_util.h"
-#include "sql/database.h"
-#include "storage/encoding.h"
 
 namespace mlcs::bench {
 
-/// Splices the metrics-registry snapshot (as an "mlcs_metrics" object)
-/// into an already-written benchmark JSON file's context block — counters
-/// are only final after RunSpecifiedBenchmarks returns, past the point
-/// where AddCustomContext can help. Best-effort: a file without a context
-/// block is left untouched.
-inline void InjectMetricsBlock(const std::string& path) {
+/// Splices the engine blocks (WriteEngineBlocks) into an already-written
+/// benchmark JSON file's context block — counters are only final after
+/// RunSpecifiedBenchmarks returns, past the point where AddCustomContext
+/// can help. Best-effort: a file without a context block is left
+/// untouched.
+inline void InjectEngineBlocks(const std::string& path) {
   std::ifstream in(path);
   if (!in) return;
   std::stringstream buf;
@@ -54,12 +48,12 @@ inline void InjectMetricsBlock(const std::string& path) {
   size_t ctx = doc.find("\"context\": {");
   if (ctx == std::string::npos) return;
   size_t brace = doc.find('{', ctx);
-  JsonWriter metrics;
-  metrics.BeginObject();
-  WriteMetricsBlock(&metrics);
-  metrics.EndObject();
-  std::string block = metrics.str();
-  // Strip the wrapper braces, keeping `"mlcs_metrics": {...}`.
+  JsonWriter blocks;
+  blocks.BeginObject();
+  WriteEngineBlocks(&blocks);
+  blocks.EndObject();
+  std::string block = blocks.str();
+  // Strip the wrapper braces, keeping `"mlcs_settings": {...}, ...`.
   block = block.substr(1, block.size() - 2);
   doc.insert(brace + 1, "\n    " + block + ",");
   std::ofstream out(path);
@@ -91,18 +85,10 @@ inline int RunBenchmarks(const char* bench_name, int argc, char** argv) {
   }
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
-  benchmark::AddCustomContext("mlcs_threads",
-                              std::to_string(ThreadPool::DefaultThreadCount()));
-  benchmark::AddCustomContext(
-      "plan_optimizer", PlanOptimizerEnabledByEnv() ? "on" : "off");
-  // Reflects MLCS_DISABLE_ENCODING at startup — a result file always says
-  // whether it measured compressed or plain execution.
-  benchmark::AddCustomContext("mlcs_encoding",
-                              EncodingEnabled() ? "on" : "off");
   size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!has_out) {
-    InjectMetricsBlock(json_path);
+    InjectEngineBlocks(json_path);
     std::cout << "wrote " << json_path << "\n";
   }
   return ran == 0 ? 1 : 0;

@@ -98,11 +98,7 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   mlcs::bench::JsonWriter json;
   json.BeginObject();
   json.Field("benchmark", "fig1_voter_classification");
-  json.Field("mlcs_threads",
-             static_cast<uint64_t>(mlcs::ThreadPool::DefaultThreadCount()));
-  json.Field("plan_optimizer",
-             mlcs::bench::PlanOptimizerEnabledByEnv() ? "on" : "off");
-  mlcs::bench::WriteMetricsBlock(&json);
+  mlcs::bench::WriteEngineBlocks(&json);
   json.Key("workload");
   json.BeginObject();
   json.Field("rows", config.data.num_voters);

@@ -1,156 +1,52 @@
 #ifndef MLCS_BENCH_JSON_UTIL_H_
 #define MLCS_BENCH_JSON_UTIL_H_
 
-// Minimal streaming JSON writer for the custom benchmark harnesses (fig1,
-// ablation_serving), plus the environment-knob reader every bench shares.
-// The google-benchmark binaries get their JSON from the library's own
-// JSONReporter (see bench_main.h); this exists so the custom harnesses emit
-// the same machine-readable BENCH_<name>.json artifacts.
+// What every BENCH_<name>.json shares: the engine's JSON writer, the
+// environment-knob reader for bench scales, and the two engine blocks
+// (effective settings and the metrics snapshot). The google-benchmark
+// binaries get their JSON from the library's own JSONReporter and have the
+// blocks spliced in (see bench_main.h); the custom harnesses write them
+// directly.
 
-#include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <string>
-#include <vector>
+#include <limits>
 
+#include "common/json_writer.h"
+#include "common/settings.h"
 #include "obs/metrics.h"
 
 namespace mlcs::bench {
 
-/// Whether the plan rewrite rules are active for Databases created in this
-/// process (MLCS_DISABLE_OPTIMIZER, see sql/database.h). Every bench JSON
-/// records this so a result file says which planner produced it.
-inline bool PlanOptimizerEnabledByEnv() {
-  const char* disable = std::getenv("MLCS_DISABLE_OPTIMIZER");
-  return disable == nullptr || disable[0] == '\0';
-}
+using JsonWriter = mlcs::JsonWriter;
 
-/// A size knob from the environment: its decimal value, or `fallback`
-/// when `name` is unset or empty. Every bench reads its scale this way.
+/// A size knob from the environment, read with the engine's one knob
+/// grammar (common/settings.h): a whole decimal string, else `fallback`
+/// (a malformed value is reported on stderr). Every bench reads its scale
+/// this way.
 inline size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<size_t>(std::strtoull(v, nullptr, 10));
+  Setting knob(name, static_cast<int64_t>(fallback), 0,
+               std::numeric_limits<int64_t>::max());
+  return static_cast<size_t>(knob.Get());
 }
 
-class JsonWriter {
- public:
-  void BeginObject() {
-    Comma();
-    out_ << '{';
-    stack_.push_back(true);
+/// Writes the engine's effective configuration and counters as two object
+/// fields: "mlcs_settings" (every settings-table entry → value, default
+/// and source) and "mlcs_metrics" (registry series → value). Every
+/// BENCH_<name>.json carries both (scripts/check.sh --bench-smoke asserts
+/// them), so a result file says what configuration produced its timings
+/// and records the cache/pool/serving counters behind them.
+inline void WriteEngineBlocks(JsonWriter* w) {
+  w->Key("mlcs_settings");
+  w->BeginObject();
+  for (const Setting* s : settings::All()) {
+    w->Key(s->name());
+    w->BeginObject();
+    w->Field("value", s->Get());
+    w->Field("default_value", s->default_value());
+    w->Field("source", SettingSourceName(s->source()));
+    w->EndObject();
   }
-  void EndObject() {
-    out_ << '}';
-    stack_.pop_back();
-  }
-  void BeginArray() {
-    Comma();
-    out_ << '[';
-    stack_.push_back(true);
-  }
-  void EndArray() {
-    out_ << ']';
-    stack_.pop_back();
-  }
-  void Key(const std::string& name) {
-    Comma();
-    WriteString(name);
-    out_ << ':';
-    pending_value_ = true;
-  }
-  void Value(const std::string& v) {
-    Comma();
-    WriteString(v);
-  }
-  void Value(const char* v) { Value(std::string(v)); }
-  void Value(double v) {
-    Comma();
-    std::ostringstream s;
-    s.precision(12);
-    s << v;
-    out_ << s.str();
-  }
-  void Value(uint64_t v) {
-    Comma();
-    out_ << v;
-  }
-  void Value(int v) {
-    Comma();
-    out_ << v;
-  }
-  void Value(bool v) {
-    Comma();
-    out_ << (v ? "true" : "false");
-  }
-
-  template <typename T>
-  void Field(const std::string& name, T v) {
-    Key(name);
-    Value(v);
-  }
-
-  std::string str() const { return out_.str(); }
-
-  /// Writes the accumulated document to `path` with a trailing newline.
-  [[nodiscard]] bool WriteTo(const std::string& path) const {
-    std::ofstream f(path);
-    if (!f) return false;
-    f << out_.str() << '\n';
-    return static_cast<bool>(f);
-  }
-
- private:
-  void Comma() {
-    if (pending_value_) {
-      pending_value_ = false;
-      return;  // this value belongs to the key just written
-    }
-    if (!stack_.empty() && !stack_.back()) out_ << ',';
-    if (!stack_.empty()) stack_.back() = false;
-  }
-  void WriteString(const std::string& s) {
-    out_ << '"';
-    for (char c : s) {
-      switch (c) {
-        case '"':
-          out_ << "\\\"";
-          break;
-        case '\\':
-          out_ << "\\\\";
-          break;
-        case '\n':
-          out_ << "\\n";
-          break;
-        case '\t':
-          out_ << "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ << buf;
-          } else {
-            out_ << c;
-          }
-      }
-    }
-    out_ << '"';
-  }
-
-  std::ostringstream out_;
-  /// One flag per open container: true = no element written yet.
-  std::vector<bool> stack_;
-  bool pending_value_ = false;
-};
-
-/// Writes the process-wide metrics registry snapshot as an "mlcs_metrics"
-/// object field: series name → value. Every BENCH_<name>.json carries this
-/// block (scripts/check.sh --bench-smoke asserts it), so a result file
-/// always records the cache/pool/serving counters behind its timings.
-inline void WriteMetricsBlock(JsonWriter* w) {
+  w->EndObject();
   w->Key("mlcs_metrics");
   w->BeginObject();
   for (const obs::MetricSample& s : obs::MetricsRegistry::Global().Snapshot()) {

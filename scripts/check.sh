@@ -95,12 +95,13 @@ step "auto-vectorization gate (exec/kernels.cc, g++ -fopt-info-vec)"
 bash scripts/check_vectorization.sh
 
 assert_metrics_block() {
-  # Every BENCH_<name>.json must carry the metrics-registry snapshot
-  # ("mlcs_metrics", at top level for the custom harnesses or inside the
-  # google-benchmark context block) with at least one series in it, and the
-  # snapshot must surface histogram quantiles (.p50) rather than raw
-  # bucket rows — a regression there silently degrades every dashboard
-  # built on the bench JSON.
+  # Every BENCH_<name>.json must carry the settings table ("mlcs_settings":
+  # exactly the eleven knobs, each with value, default and source) and the
+  # metrics-registry snapshot ("mlcs_metrics", at least one series) — at
+  # top level for the custom harnesses or inside the google-benchmark
+  # context block. The snapshot must surface histogram quantiles (.p50)
+  # rather than raw bucket rows — a regression there silently degrades
+  # every dashboard built on the bench JSON.
   python3 - "$1" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -112,6 +113,19 @@ assert any(k.endswith(".p50") for k in block), \
     f"{sys.argv[1]}: mlcs_metrics block has no .p50 quantile series"
 assert not any(".le_" in k for k in block), \
     f"{sys.argv[1]}: mlcs_metrics block leaks raw .le_ bucket rows"
+knobs = {"MLCS_THREADS", "MLCS_BLOCK_ROWS", "MLCS_BUFFER_POOL_BYTES",
+         "MLCS_FLIGHT_RECORDER_BYTES", "MLCS_SLOW_QUERY_MS",
+         "MLCS_CRASH_DUMP", "MLCS_LOCK_DEBUG", "MLCS_DISABLE_OPTIMIZER",
+         "MLCS_DISABLE_ZONEMAPS", "MLCS_DISABLE_ENCODING",
+         "MLCS_DISABLE_FACTORIZED"}
+settings = doc.get("mlcs_settings",
+                   doc.get("context", {}).get("mlcs_settings"))
+assert isinstance(settings, dict) and set(settings) == knobs, \
+    f"{sys.argv[1]}: mlcs_settings block does not name exactly the " \
+    f"eleven knobs: {sorted(settings or {})}"
+for name, entry in settings.items():
+    assert {"value", "default_value", "source"} <= set(entry), \
+        f"{sys.argv[1]}: mlcs_settings.{name} lacks value/default/source"
 PYEOF
 }
 

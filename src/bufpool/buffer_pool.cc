@@ -1,9 +1,9 @@
 #include "bufpool/buffer_pool.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
+#include "common/settings.h"
 #include "obs/wait_stats.h"
 
 namespace mlcs::bufpool {
@@ -192,14 +192,8 @@ std::vector<std::string> BufferPool::KeysMruToLru() const {
 }
 
 BufferPool& BufferPool::Global() {
-  static BufferPool* pool = [] {
-    size_t budget = kDefaultByteBudget;
-    const char* env = std::getenv("MLCS_BUFFER_POOL_BYTES");
-    if (env != nullptr && env[0] != '\0') {
-      budget = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    }
-    return new BufferPool(budget);
-  }();
+  static BufferPool* pool = new BufferPool(
+      static_cast<size_t>(settings::g_buffer_pool_bytes.Get()));
   return *pool;
 }
 

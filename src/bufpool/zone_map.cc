@@ -1,8 +1,8 @@
 #include "bufpool/zone_map.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
+
+#include "common/settings.h"
 
 namespace mlcs::bufpool {
 
@@ -52,14 +52,6 @@ int64_t IntOf(const Value& v) {
 double DoubleOf(const Value& v) {
   return v.type() == TypeId::kDouble ? v.double_value()
                                      : static_cast<double>(IntOf(v));
-}
-
-std::atomic<int>& SkipState() {
-  static std::atomic<int> state([] {
-    const char* env = std::getenv("MLCS_DISABLE_ZONEMAPS");
-    return (env != nullptr && env[0] != '\0') ? 0 : 1;
-  }());
-  return state;
 }
 
 }  // namespace
@@ -208,11 +200,11 @@ bool ZoneAdmits(const ZoneMap& zone, uint64_t block_rows, ZoneOp op,
 }
 
 bool ZoneMapSkippingEnabled() {
-  return SkipState().load(std::memory_order_relaxed) != 0;
+  return settings::g_disable_zonemaps.Get() == 0;
 }
 
 void SetZoneMapSkippingEnabled(bool enabled) {
-  SkipState().store(enabled ? 1 : 0, std::memory_order_relaxed);
+  settings::g_disable_zonemaps.Set(enabled ? 0 : 1);
 }
 
 }  // namespace mlcs::bufpool

@@ -48,9 +48,10 @@ ZoneMap ComputeZoneMap(const Column& column);
 [[nodiscard]] bool ZoneAdmits(const ZoneMap& zone, uint64_t block_rows,
                               ZoneOp op, const Value& literal);
 
-/// Process-wide toggle for zone-map block skipping (default on; the
-/// MLCS_DISABLE_ZONEMAPS env var starts it off). The ablation grid flips
-/// it to measure blocks read with and without skipping.
+/// Process-wide toggle for zone-map block skipping (default on;
+/// MLCS_DISABLE_ZONEMAPS=1 starts it off — common/settings.h). The
+/// ablation grid flips it to measure blocks read with and without
+/// skipping.
 bool ZoneMapSkippingEnabled();
 void SetZoneMapSkippingEnabled(bool enabled);
 

@@ -186,26 +186,6 @@ void RemoveHeld(const Mutex* mu) {
 
 }  // namespace
 
-namespace internal {
-
-std::atomic<int> g_lock_debug_state{-1};
-
-bool DecideLockDebug() {
-#if !defined(NDEBUG) || defined(MLCS_ENABLE_LOCK_DEBUG)
-  bool enabled = true;  // Debug and sanitizer builds order-check by default
-#else
-  bool enabled = false;  // Release: bare std::mutex behind one flag test
-#endif
-  const char* env = std::getenv("MLCS_LOCK_DEBUG");
-  if (env != nullptr && *env != '\0') enabled = (*env != '0');
-  int expected = -1;
-  g_lock_debug_state.compare_exchange_strong(expected, enabled ? 1 : 0,
-                                             std::memory_order_relaxed);
-  return g_lock_debug_state.load(std::memory_order_relaxed) != 0;
-}
-
-}  // namespace internal
-
 Mutex::~Mutex() {
   if (!Enabled()) return;
   std::lock_guard<std::mutex> g(GraphMutex());
@@ -268,8 +248,7 @@ bool Mutex::TryLockSlow() {
 bool Mutex::DeadlockDetectionEnabled() { return Enabled(); }
 
 void Mutex::SetDeadlockDetectionForTesting(bool enabled) {
-  internal::g_lock_debug_state.store(enabled ? 1 : 0,
-                                     std::memory_order_relaxed);
+  settings::g_lock_debug.Set(enabled ? 1 : 0);
 }
 
 void Mutex::ResetDeadlockGraphForTesting() {

@@ -7,23 +7,16 @@
 #include <mutex>
 
 #include "common/annotations.h"
+#include "common/settings.h"
 
 namespace mlcs {
 
 namespace internal {
-/// -1: undecided, 0: off, 1: on. Resolved on first use from the build
-/// default + MLCS_LOCK_DEBUG; writable via SetDeadlockDetectionForTesting.
-extern std::atomic<int> g_lock_debug_state;
-/// Resolves the undecided state (mutex.cc); returns the decision.
-bool DecideLockDebug();
-
-/// Inline so the Release fast path is one relaxed load + branch around
-/// the bare std::mutex — the facade's zero-overhead contract.
-inline bool LockDebugEnabled() {
-  int state = g_lock_debug_state.load(std::memory_order_relaxed);
-  if (state >= 0) return state != 0;
-  return DecideLockDebug();
-}
+/// The MLCS_LOCK_DEBUG entry of the settings table (common/settings.h):
+/// build default, env at first use, SetDeadlockDetectionForTesting. Inline
+/// so the Release fast path is one relaxed load + branch around the bare
+/// std::mutex — the facade's zero-overhead contract.
+inline bool LockDebugEnabled() { return settings::g_lock_debug.Get() != 0; }
 }  // namespace internal
 
 /// The repo's one mutex type (DESIGN.md §11). A thin facade over
@@ -47,8 +40,8 @@ inline bool LockDebugEnabled() {
 /// with !NDEBUG or MLCS_ENABLE_LOCK_DEBUG) and OFF in Release, where
 /// Lock()/Unlock() are a relaxed atomic flag test away from bare
 /// std::mutex (measured within noise on abl-par-exec, EXPERIMENTS.md
-/// abl-lockdisc). The MLCS_LOCK_DEBUG env var (0/1) overrides the build
-/// default at process start.
+/// abl-lockdisc). The MLCS_LOCK_DEBUG setting (0/1) overrides the build
+/// default at first use.
 ///
 /// Wait attribution (DESIGN.md §15): the uncontended path is a plain
 /// try_lock (same single CAS as lock). Only when that fails — the thread

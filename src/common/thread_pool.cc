@@ -3,31 +3,21 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 
 #include "common/parallel_for.h"
+#include "common/settings.h"
 
 namespace mlcs {
 
 size_t ThreadPool::DefaultThreadCount() {
-  const char* env = std::getenv("MLCS_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) {
-      return static_cast<size_t>(parsed);
-    }
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<size_t>(settings::g_threads.Get());
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   queue_depth_ = registry.GetGauge("mlcs.threadpool.queue_depth");
   tasks_completed_ = registry.GetCounter("mlcs.threadpool.tasks_completed");
-  task_wait_us_ = registry.GetHistogram(
-      "mlcs.threadpool.task_wait_us",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000});
+  task_wait_us_ = registry.GetHistogram("mlcs.threadpool.task_wait_us");
   dispatch_wait_ =
       obs::WaitStats::Global().GetSite(obs::WaitKind::kPool, "dispatch");
   if (num_threads == 0) {
@@ -52,13 +42,12 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   auto enqueued = std::chrono::steady_clock::now();
   std::packaged_task<void()> packaged(
       [this, enqueued, task = std::move(task)] {
-        auto started = std::chrono::steady_clock::now();
-        auto waited = started - enqueued;
-        task_wait_us_->Observe(
-            std::chrono::duration<double, std::micro>(waited).count());
-        dispatch_wait_->RecordWaitNs(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                .count()));
+        auto waited = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - enqueued)
+                .count());
+        task_wait_us_->RecordNs(waited);
+        dispatch_wait_->RecordWaitNs(waited);
         task();
         tasks_completed_->Add(1);
       });

@@ -1,30 +1,16 @@
 #include "ml/training_source.h"
 
-#include <atomic>
-#include <cstdlib>
-
+#include "common/settings.h"
 #include "obs/metrics.h"
 
 namespace mlcs::ml {
 
-namespace {
-
-/// Default-on toggle, started off by MLCS_DISABLE_FACTORIZED (same pattern
-/// as column encoding — storage/encoding.cc).
-std::atomic<int>& FactorizedState() {
-  static std::atomic<int> state([] {
-    const char* env = std::getenv("MLCS_DISABLE_FACTORIZED");
-    return (env != nullptr && env[0] != '\0') ? 0 : 1;
-  }());
-  return state;
-}
-
-}  // namespace
-
-bool FactorizedEnabled() { return FactorizedState().load() != 0; }
+bool FactorizedEnabled() { return settings::g_disable_factorized.Get() == 0; }
 
 bool SetFactorizedEnabled(bool enabled) {
-  return FactorizedState().exchange(enabled ? 1 : 0) != 0;
+  bool was = FactorizedEnabled();
+  settings::g_disable_factorized.Set(enabled ? 0 : 1);
+  return was;
 }
 
 TrainingSource TrainingSource::FromMatrix(const Matrix& x) {

@@ -118,11 +118,11 @@ class TrainingSource {
 /// materialized path would have held.
 void CountTrainingSourceFit(const TrainingSource& source);
 
-/// Process-wide factorized-training toggle. Defaults on; the
-/// MLCS_DISABLE_FACTORIZED environment variable (any non-empty value)
-/// starts it off. Gates both the pipeline's factorized training path and
-/// the optimizer's aggregate-pushdown-below-join rewrite, so one switch
-/// reverts the whole factorized stack to the materialized fallback.
+/// Process-wide factorized-training toggle. Defaults on;
+/// MLCS_DISABLE_FACTORIZED=1 starts it off (common/settings.h). Gates both
+/// the pipeline's factorized training path and the optimizer's
+/// aggregate-pushdown-below-join rewrite, so one switch reverts the whole
+/// factorized stack to the materialized fallback.
 bool FactorizedEnabled();
 /// Returns the previous value (test helper for save/restore).
 bool SetFactorizedEnabled(bool enabled);

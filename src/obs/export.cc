@@ -1,12 +1,11 @@
 #include "obs/export.h"
 
 #include <cstdio>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/json_writer.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -77,98 +76,28 @@ void AppendSimpleFamily(const std::vector<MetricSample>& samples,
   }
 }
 
-void AppendHistogramFamily(const HistogramSnapshot& h, std::string* out) {
-  std::string name = SanitizeMetricName(h.name);
-  *out += "# TYPE " + name + " histogram\n";
+/// The one Prometheus histogram renderer: cumulative `_bucket{le=...}`
+/// lines (bounds in µs), `_sum` (µs) and `_count` of `family`, with
+/// `labels` (`k="v",...`, already escaped; may be empty) on every line.
+/// The caller writes the family's `# TYPE` header once.
+void AppendPrometheusHistogram(const std::string& family,
+                               const std::string& labels,
+                               const Histogram::Counts& h, std::string* out) {
+  const std::string prefix = labels.empty() ? "" : labels + ",";
+  const std::string suffix = labels.empty() ? "" : "{" + labels + "}";
   uint64_t cumulative = 0;
-  for (size_t i = 0; i < h.bounds.size(); ++i) {
-    cumulative += h.counts[i];
-    *out += name + "_bucket{le=\"" + FormatValue(h.bounds[i]) + "\"} " +
-            FormatValue(static_cast<double>(cumulative)) + "\n";
+  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+    cumulative += h.buckets[i];
+    std::string le = i < Histogram::kNumBounds
+                         ? std::to_string(Histogram::kBoundsUs[i])
+                         : "+Inf";
+    *out += family + "_bucket{" + prefix + "le=\"" + le + "\"} " +
+            std::to_string(cumulative) + "\n";
   }
-  cumulative += h.counts.empty() ? 0 : h.counts.back();
-  *out += name + "_bucket{le=\"+Inf\"} " +
-          FormatValue(static_cast<double>(cumulative)) + "\n";
-  *out += name + "_sum " + FormatValue(h.sum) + "\n";
-  *out += name + "_count " + FormatValue(static_cast<double>(h.count)) +
+  *out += family + "_sum" + suffix + " " +
+          FormatValue(static_cast<double>(h.sum_ns) / 1000.0) + "\n";
+  *out += family + "_count" + suffix + " " + std::to_string(cumulative) +
           "\n";
-}
-
-/// One wait site's counters, merged across duplicate registry slots
-/// (WaitStats documents the benign claim race; exporters re-merge).
-struct MergedSite {
-  uint64_t count = 0;
-  uint64_t total_ns = 0;
-  uint64_t buckets[WaitSite::kNumBounds + 1] = {};
-};
-
-void AppendWaitFamily(std::string* out) {
-  std::map<std::pair<std::string, std::string>, MergedSite> merged;
-  for (const WaitSite* site : WaitStats::Global().Sites()) {
-    MergedSite& m =
-        merged[{WaitKindName(site->kind()), site->name()}];
-    m.count += site->Count();
-    m.total_ns += site->TotalNs();
-    for (size_t i = 0; i <= WaitSite::kNumBounds; ++i) {
-      m.buckets[i] += site->BucketCount(i);
-    }
-  }
-  if (merged.empty()) return;
-  const double* bounds = WaitSite::BoundsUs();
-  *out += "# TYPE mlcs_wait_us histogram\n";
-  for (const auto& [key, m] : merged) {
-    std::string labels = "kind=\"" + EscapeLabelValue(key.first) +
-                         "\",site=\"" + EscapeLabelValue(key.second) + "\"";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < WaitSite::kNumBounds; ++i) {
-      cumulative += m.buckets[i];
-      *out += "mlcs_wait_us_bucket{" + labels + ",le=\"" +
-              FormatValue(bounds[i]) + "\"} " +
-              FormatValue(static_cast<double>(cumulative)) + "\n";
-    }
-    cumulative += m.buckets[WaitSite::kNumBounds];
-    *out += "mlcs_wait_us_bucket{" + labels + ",le=\"+Inf\"} " +
-            FormatValue(static_cast<double>(cumulative)) + "\n";
-    *out += "mlcs_wait_us_sum{" + labels + "} " +
-            FormatValue(static_cast<double>(m.total_ns) / 1000.0) + "\n";
-    *out += "mlcs_wait_us_count{" + labels + "} " +
-            FormatValue(static_cast<double>(m.count)) + "\n";
-  }
-}
-
-/// JSON string escaping (quotes, backslash, control characters).
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size() + 2);
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -179,10 +108,20 @@ std::string PrometheusText() {
   out.reserve(4096);
   AppendSimpleFamily(snapshot.counters, "counter", &out);
   AppendSimpleFamily(snapshot.gauges, "gauge", &out);
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    AppendHistogramFamily(h, &out);
+  for (const auto& [name, h] : snapshot.histograms) {
+    std::string family = SanitizeMetricName(name);
+    out += "# TYPE " + family + " histogram\n";
+    AppendPrometheusHistogram(family, "", h, &out);
   }
-  AppendWaitFamily(&out);
+  auto sites = WaitStats::Global().Merged();
+  if (!sites.empty()) out += "# TYPE mlcs_wait_us histogram\n";
+  for (const auto& [site, h] : sites) {
+    AppendPrometheusHistogram("mlcs_wait_us",
+                              "kind=\"" + EscapeLabelValue(site.first) +
+                                  "\",site=\"" +
+                                  EscapeLabelValue(site.second) + "\"",
+                              h, &out);
+  }
   // An export is a natural moment to refresh the crash-visible metrics
   // buffer — a scrape right before a crash leaves a current dump.
   FlightRecorder::RefreshCrashMetrics();
@@ -190,32 +129,33 @@ std::string PrometheusText() {
 }
 
 std::string ChromeTraceJson(uint64_t trace_id) {
-  std::vector<TraceSpan> spans = FlightRecorder::Global().Query(trace_id);
-  std::string out;
-  out.reserve(256 + spans.size() * 160);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (const TraceSpan& s : spans) {
-    if (!first) out += ",";
-    first = false;
-    double ts_us = static_cast<double>(s.start_offset.count()) / 1000.0;
-    double dur_us = static_cast<double>(s.duration.count()) / 1000.0;
-    out += "{\"name\":\"" + EscapeJson(s.name) + "\",\"ph\":\"X\",\"ts\":" +
-           FormatValue(ts_us) + ",\"dur\":" + FormatValue(dur_us) +
-           ",\"pid\":" + std::to_string(s.trace_id) +
-           ",\"tid\":" + std::to_string(s.tid) + ",\"args\":{" +
-           "\"span_id\":" + std::to_string(s.span_id) +
-           ",\"parent_id\":" + std::to_string(s.parent_id) +
-           ",\"rows_in\":" + std::to_string(s.rows_in) +
-           ",\"rows_out\":" + std::to_string(s.rows_out) +
-           ",\"bytes\":" + std::to_string(s.bytes);
-    if (!s.note.empty()) {
-      out += ",\"note\":\"" + EscapeJson(s.note) + "\"";
-    }
-    out += "}}";
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("traceEvents");
+  w.BeginArray();
+  for (const TraceSpan& s : FlightRecorder::Global().Query(trace_id)) {
+    w.BeginObject();
+    w.Field("name", s.name);
+    w.Field("ph", "X");
+    w.Field("ts", static_cast<double>(s.start_offset.count()) / 1000.0);
+    w.Field("dur", static_cast<double>(s.duration.count()) / 1000.0);
+    w.Field("pid", s.trace_id);
+    w.Field("tid", static_cast<uint64_t>(s.tid));
+    w.Key("args");
+    w.BeginObject();
+    w.Field("span_id", static_cast<uint64_t>(s.span_id));
+    w.Field("parent_id", static_cast<uint64_t>(s.parent_id));
+    w.Field("rows_in", s.rows_in);
+    w.Field("rows_out", s.rows_out);
+    w.Field("bytes", s.bytes);
+    if (!s.note.empty()) w.Field("note", s.note);
+    w.EndObject();
+    w.EndObject();
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
+  w.EndArray();
+  w.Field("displayTimeUnit", "ms");
+  w.EndObject();
+  return w.str();
 }
 
 Status DumpPrometheusText(const std::string& path) {

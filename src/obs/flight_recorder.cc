@@ -4,9 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/settings.h"
 #include "obs/crash_dump.h"
 #include "obs/crash_state.h"
 #include "obs/metrics.h"
@@ -27,8 +27,6 @@ CrashState& GlobalCrashState() {
 namespace {
 
 std::atomic<bool> g_recording_enabled{true};
-/// Microseconds; -1 = undecided (resolve from MLCS_SLOW_QUERY_MS).
-std::atomic<int64_t> g_slow_threshold_us{-1};
 
 /// Installed before main() in every process linking the engine (this TU
 /// is always referenced by the trace-flush path), so `kill -USR1 <pid>`
@@ -36,11 +34,8 @@ std::atomic<int64_t> g_slow_threshold_us{-1};
 /// SIGUSR1's default action is termination, so taking it over only
 /// helps. Fatal-signal dumps are opt-in: sanitizers and death tests own
 /// SIGSEGV/SIGABRT, so those install only under MLCS_CRASH_DUMP=1.
-const bool g_crash_handler_installed = [] {
-  const char* fatal = std::getenv("MLCS_CRASH_DUMP");
-  return crash::InstallCrashHandler(
-      /*install_fatal=*/fatal != nullptr && *fatal == '1');
-}();
+const bool g_crash_handler_installed = crash::InstallCrashHandler(
+    /*install_fatal=*/settings::g_crash_dump.Get() != 0);
 
 Counter* EvictedTracesCounter() {
   static Counter* counter =
@@ -90,27 +85,11 @@ FlightRecorder::FlightRecorder(size_t byte_budget, size_t max_slow)
     : byte_budget_(byte_budget), max_slow_(max_slow) {}
 
 double FlightRecorder::SlowQueryThresholdMs() {
-  int64_t us = g_slow_threshold_us.load(std::memory_order_relaxed);
-  if (us >= 0) return static_cast<double>(us) / 1000.0;
-  double ms = kDefaultSlowQueryMs;
-  const char* env = std::getenv("MLCS_SLOW_QUERY_MS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    double parsed = std::strtod(env, &end);
-    if (end != nullptr && *end == '\0' && parsed >= 0.0) ms = parsed;
-  }
-  int64_t expected = -1;
-  g_slow_threshold_us.compare_exchange_strong(
-      expected, static_cast<int64_t>(ms * 1000.0),
-      std::memory_order_relaxed);
-  return static_cast<double>(
-             g_slow_threshold_us.load(std::memory_order_relaxed)) /
-         1000.0;
+  return static_cast<double>(settings::g_slow_query_ms.Get());
 }
 
 void FlightRecorder::SetSlowQueryThresholdMsForTesting(double ms) {
-  g_slow_threshold_us.store(static_cast<int64_t>(ms * 1000.0),
-                            std::memory_order_relaxed);
+  settings::g_slow_query_ms.Set(static_cast<int64_t>(ms));
 }
 
 bool FlightRecorder::RecordingEnabled() {
@@ -281,14 +260,8 @@ size_t FlightRecorder::slow_query_count() const {
 }
 
 FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* recorder = [] {
-    size_t budget = kDefaultByteBudget;
-    const char* env = std::getenv("MLCS_FLIGHT_RECORDER_BYTES");
-    if (env != nullptr && *env != '\0') {
-      budget = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    }
-    return new FlightRecorder(budget);
-  }();
+  static FlightRecorder* recorder = new FlightRecorder(
+      static_cast<size_t>(settings::g_flight_recorder_bytes.Get()));
   return *recorder;
 }
 

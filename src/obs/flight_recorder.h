@@ -45,7 +45,6 @@ struct RecordedTrace {
 /// async-signal-safe crash dump reads.
 class FlightRecorder {
  public:
-  static constexpr size_t kDefaultByteBudget = 4u << 20;
   static constexpr size_t kMaxSlowQueries = 32;
   static constexpr double kDefaultSlowQueryMs = 250.0;
 
@@ -72,7 +71,8 @@ class FlightRecorder {
   size_t bytes_retained() const;
   size_t slow_query_count() const;
 
-  /// Process-wide recorder; budget from MLCS_FLIGHT_RECORDER_BYTES.
+  /// Process-wide recorder; budget from the MLCS_FLIGHT_RECORDER_BYTES
+  /// setting, read when the recorder is first used (common/settings.h).
   static FlightRecorder& Global();
 
   /// True when completed traces should be captured: the runtime flag is
@@ -82,7 +82,7 @@ class FlightRecorder {
   /// Runtime override (bench baselines, tests); does not change budgets.
   static void SetRecordingEnabled(bool enabled);
 
-  /// Slow-query threshold: MLCS_SLOW_QUERY_MS unless overridden.
+  /// Slow-query threshold: the MLCS_SLOW_QUERY_MS setting (whole ms).
   static double SlowQueryThresholdMs();
   static void SetSlowQueryThresholdMsForTesting(double ms);
 

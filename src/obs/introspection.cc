@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/settings.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,6 +30,15 @@ Schema TraceSchema() {
   return schema;
 }
 
+Schema SettingsSchema() {
+  Schema schema;
+  schema.AddField("name", TypeId::kVarchar);
+  schema.AddField("value", TypeId::kInt64);
+  schema.AddField("default_value", TypeId::kInt64);
+  schema.AddField("source", TypeId::kVarchar);
+  return schema;
+}
+
 Schema SlowQuerySchema() {
   Schema schema;
   schema.AddField("trace_id", TypeId::kInt64);
@@ -52,6 +62,16 @@ TablePtr MetricsTable() {
   for (const MetricSample& s : MetricsRegistry::Global().Snapshot()) {
     (void)table->AppendRow({Value::Varchar(s.name), Value::Varchar(s.kind),
                             Value::Double(s.value)});
+  }
+  return table;
+}
+
+TablePtr SettingsTable() {
+  auto table = Table::Make(SettingsSchema());
+  for (const Setting* s : settings::All()) {
+    (void)table->AppendRow({Value::Varchar(s->name()), Value::Int64(s->Get()),
+                            Value::Int64(s->default_value()),
+                            Value::Varchar(SettingSourceName(s->source()))});
   }
   return table;
 }
@@ -97,6 +117,17 @@ Status RegisterIntrospectionFunctions(udf::UdfRegistry* registry) {
     entry.fn =
         [](const std::vector<ColumnPtr>& /*args*/) -> Result<TablePtr> {
       return MetricsTable();
+    };
+    MLCS_RETURN_IF_ERROR(registry->RegisterTable(std::move(entry)));
+  }
+  {
+    udf::TableUdfEntry entry;
+    entry.name = "mlcs_settings";
+    entry.typed = true;  // zero arguments, enforced
+    entry.return_schema = SettingsSchema();
+    entry.fn =
+        [](const std::vector<ColumnPtr>& /*args*/) -> Result<TablePtr> {
+      return SettingsTable();
     };
     MLCS_RETURN_IF_ERROR(registry->RegisterTable(std::move(entry)));
   }

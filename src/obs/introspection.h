@@ -9,10 +9,15 @@ namespace mlcs::obs {
 
 /// Snapshot of the global MetricsRegistry as a relational table:
 ///   (name VARCHAR, kind VARCHAR, value DOUBLE), sorted by name.
-/// Histograms surface as `.count/.sum/.p50/.p90/.p99` rows (interpolated
-/// quantiles, DESIGN.md §15) and the wait-attribution sites as
-/// `mlcs.wait.*` rows — never raw bucket blobs.
+/// Histograms surface as `.count/.sum/.max/.p50/.p90/.p99` rows
+/// (interpolated quantiles, DESIGN.md §15) and the wait-attribution sites
+/// as `mlcs.wait.*` rows — never raw bucket blobs.
 TablePtr MetricsTable();
+
+/// The settings table (common/settings.h, DESIGN.md §18), one row per knob:
+///   (name VARCHAR, value BIGINT, default_value BIGINT, source VARCHAR),
+/// source being "default", "env" or "set".
+TablePtr SettingsTable();
 
 /// Spans of one flight-recorder trace (0 → every ring trace) as a table:
 ///   (trace_id BIGINT, span_id BIGINT, parent_id BIGINT, name VARCHAR,
@@ -26,7 +31,7 @@ TablePtr TraceTable(uint64_t trace_id);
 TablePtr SlowQueriesTable();
 
 /// Registers the SQL surface of the observability layer — the paper-native
-/// interface: `SELECT * FROM mlcs_metrics()`,
+/// interface: `SELECT * FROM mlcs_metrics()`, `mlcs_settings()`,
 /// `SELECT * FROM mlcs_trace(<trace_id>)`, and
 /// `SELECT * FROM mlcs_slow_queries()` become meta-analysis queries
 /// like any other table function. Called by Database's builtin setup.

@@ -3,37 +3,47 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/logging.h"
 #include "obs/wait_stats.h"
 
 namespace mlcs::obs {
 
-Histogram::Histogram(std::string name, std::vector<double> bounds)
-    : name_(std::move(name)),
-      bounds_(std::move(bounds)),
-      counts_(new std::atomic<uint64_t>[bounds_.size() + 1]) {
-  for (size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0);
-}
-
-void Histogram::Observe(double v) {
-  // Linear probe: bucket lists are short (≤ ~16) and fixed, so this beats
-  // a branch-missing binary search on the hot path.
-  size_t bucket = bounds_.size();
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
+void Histogram::RecordNs(uint64_t ns) {
+  // Linear probe over 11 fixed bounds beats a branch-missing binary search.
+  size_t bucket = kNumBounds;
+  for (size_t i = 0; i < kNumBounds; ++i) {
+    if (ns <= kBoundsUs[i] * 1000) {
       bucket = i;
       break;
     }
   }
-  if (bucket == bounds_.size() && !bounds_.empty() &&
-      !overflow_warned_.exchange(true, std::memory_order_relaxed)) {
-    MLCS_LOG(kWarn) << "histogram overflow " << Kv("name", name_)
-                    << Kv("value", v) << Kv("max_bound", bounds_.back())
-                    << "— counting in +inf bucket";
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+  uint64_t prev = max_ns_.load(std::memory_order_relaxed);
+  while (ns > prev && !max_ns_.compare_exchange_weak(
+                          prev, ns, std::memory_order_relaxed)) {
   }
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+}
+
+Histogram::Counts Histogram::Read() const {
+  Counts c;
+  for (size_t i = 0; i < kNumBuckets; ++i) {
+    c.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+  }
+  c.sum_ns = sum_ns_.load(std::memory_order_relaxed);
+  c.max_ns = max_ns_.load(std::memory_order_relaxed);
+  return c;
+}
+
+uint64_t Histogram::Counts::Count() const {
+  uint64_t n = 0;
+  for (uint64_t b : buckets) n += b;
+  return n;
+}
+
+void Histogram::Counts::Merge(const Counts& other) {
+  for (size_t i = 0; i < kNumBuckets; ++i) buckets[i] += other.buckets[i];
+  sum_ns += other.sum_ns;
+  max_ns = std::max(max_ns, other.max_ns);
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
@@ -50,55 +60,53 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bucket_bounds) {
-  MutexLock lock(&mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot.reset(new Histogram(name, std::move(bucket_bounds)));
-  }
-  return slot.get();
-}
-
-Quantiles EstimateQuantiles(const double* bounds, size_t num_bounds,
-                            const uint64_t* bucket_counts,
-                            uint64_t total_count) {
-  Quantiles q;
-  if (total_count == 0) return q;
-  const double fallback = num_bounds > 0 ? bounds[num_bounds - 1] : 0.0;
-  const double targets[3] = {0.50, 0.90, 0.99};
-  double* outs[3] = {&q.p50, &q.p90, &q.p99};
-  for (int t = 0; t < 3; ++t) {
-    double rank = targets[t] * static_cast<double>(total_count);
-    if (rank < 1.0) rank = 1.0;
-    double estimate = fallback;
-    double cum = 0.0;
-    for (size_t i = 0; i <= num_bounds; ++i) {
-      double in_bucket = static_cast<double>(bucket_counts[i]);
-      if (cum + in_bucket >= rank) {
-        if (i == num_bounds) break;  // +inf bucket: clamp to last bound
-        double lower = (i == 0) ? 0.0 : bounds[i - 1];
-        double frac = in_bucket == 0.0 ? 1.0 : (rank - cum) / in_bucket;
-        estimate = lower + frac * (bounds[i] - lower);
-        break;
-      }
-      cum += in_bucket;
-    }
-    *outs[t] = estimate;
-  }
-  return q;
-}
-
 namespace {
 
-Quantiles HistogramQuantiles(const Histogram& h) {
-  std::vector<uint64_t> counts(h.num_buckets());
-  for (size_t i = 0; i < h.num_buckets(); ++i) counts[i] = h.BucketCount(i);
-  return EstimateQuantiles(h.bounds().data(), h.bounds().size(),
-                           counts.data(), h.Count());
+/// Linear interpolation inside the bucket that holds rank `q * total`; a
+/// rank in the +Inf bucket clamps to the last finite bound.
+double EstimateQuantile(const Histogram::Counts& h, uint64_t total,
+                        double q) {
+  if (total == 0) return 0.0;
+  const double rank = std::max(1.0, q * static_cast<double>(total));
+  double cum = 0.0;
+  for (size_t i = 0; i < Histogram::kNumBounds; ++i) {
+    double in_bucket = static_cast<double>(h.buckets[i]);
+    if (cum + in_bucket >= rank) {
+      double lower =
+          i == 0 ? 0.0 : static_cast<double>(Histogram::kBoundsUs[i - 1]);
+      double upper = static_cast<double>(Histogram::kBoundsUs[i]);
+      return lower + (rank - cum) / in_bucket * (upper - lower);
+    }
+    cum += in_bucket;
+  }
+  return static_cast<double>(Histogram::kBoundsUs[Histogram::kNumBounds - 1]);
 }
 
 }  // namespace
+
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
+  MutexLock lock(&mutex_);
+  auto& slot = histograms_[name];
+  if (slot == nullptr) slot = std::make_unique<Histogram>();
+  return slot.get();
+}
+
+void AppendHistogramSamples(const std::string& name,
+                            const Histogram::Counts& h,
+                            std::vector<MetricSample>* out) {
+  const uint64_t count = h.Count();
+  out->push_back({name + ".count", "histogram", static_cast<double>(count)});
+  out->push_back({name + ".sum", "histogram",
+                  static_cast<double>(h.sum_ns) / 1000.0});
+  out->push_back({name + ".max", "histogram",
+                  static_cast<double>(h.max_ns) / 1000.0});
+  out->push_back(
+      {name + ".p50", "histogram", EstimateQuantile(h, count, 0.50)});
+  out->push_back(
+      {name + ".p90", "histogram", EstimateQuantile(h, count, 0.90)});
+  out->push_back(
+      {name + ".p99", "histogram", EstimateQuantile(h, count, 0.99)});
+}
 
 std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   auto begin = std::chrono::steady_clock::now();
@@ -107,7 +115,7 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   {
     MutexLock lock(&mutex_);
     out.reserve(counters_.size() + gauges_.size() +
-                5 * histograms_.size());
+                6 * histograms_.size());
     for (const auto& [name, counter] : counters_) {
       out.push_back(
           {name, "counter", static_cast<double>(counter->Value())});
@@ -116,27 +124,27 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
       out.push_back({name, "gauge", static_cast<double>(gauge->Value())});
     }
     for (const auto& [name, h] : histograms_) {
-      Quantiles q = HistogramQuantiles(*h);
-      out.push_back(
-          {name + ".count", "histogram", static_cast<double>(h->Count())});
-      out.push_back({name + ".sum", "histogram", h->Sum()});
-      out.push_back({name + ".p50", "histogram", q.p50});
-      out.push_back({name + ".p90", "histogram", q.p90});
-      out.push_back({name + ".p99", "histogram", q.p99});
+      AppendHistogramSamples(name, h->Read(), &out);
     }
   }
   // Only the Global() registry (recognizable by its self-registered
   // counter) merges the process-wide wait sites: plain instance registries
   // in tests must stay self-contained.
-  if (snapshots_ != nullptr) WaitStats::Global().Export(&out);
+  if (snapshots_ != nullptr) {
+    for (const auto& [site, h] : WaitStats::Global().Merged()) {
+      AppendHistogramSamples(
+          "mlcs.wait." + site.first + "." + site.second, h, &out);
+    }
+  }
   std::sort(out.begin(), out.end(),
             [](const MetricSample& a, const MetricSample& b) {
               return a.name < b.name;
             });
   if (export_us_ != nullptr) {
-    export_us_->Observe(std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - begin)
-                            .count());
+    export_us_->RecordNs(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - begin)
+            .count()));
   }
   return out;
 }
@@ -153,16 +161,7 @@ RegistrySnapshot MetricsRegistry::StructuredSnapshot() const {
         {name, "gauge", static_cast<double>(gauge->Value())});
   }
   for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = name;
-    hs.bounds = h->bounds();
-    hs.counts.resize(h->num_buckets());
-    for (size_t i = 0; i < h->num_buckets(); ++i) {
-      hs.counts[i] = h->BucketCount(i);
-    }
-    hs.count = h->Count();
-    hs.sum = h->Sum();
-    snap.histograms.push_back(std::move(hs));
+    snap.histograms.push_back({name, h->Read()});
   }
   return snap;
 }
@@ -171,8 +170,7 @@ MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = [] {
     auto* r = new MetricsRegistry();
     r->snapshots_ = r->GetCounter("mlcs.obs.snapshots");
-    r->export_us_ = r->GetHistogram(
-        "mlcs.obs.export_us", {10, 50, 100, 500, 1000, 5000, 10000, 50000});
+    r->export_us_ = r->GetHistogram("mlcs.obs.export_us");
     return r;
   }();
   return *registry;

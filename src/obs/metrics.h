@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -21,11 +22,10 @@ namespace mlcs::obs {
 ///
 /// Naming scheme (DESIGN.md §10): `mlcs.<subsystem>.<series>`, lowercase,
 /// dot-separated, e.g. `mlcs.plan_cache.hits`, `mlcs.threadpool.queue_depth`,
-/// `mlcs.serve.batched_rows`. Histograms export `<name>.count`,
-/// `<name>.sum`, and interpolated `<name>.p50/.p90/.p99` quantile rows
-/// (DESIGN.md §15) — raw bucket blobs are reachable through
-/// StructuredSnapshot() for the Prometheus exporter, which needs the
-/// cumulative `_bucket{le=...}` form.
+/// `mlcs.serve.batched_rows`. Histograms export `<name>.count`, `.sum`,
+/// `.max` and interpolated `.p50/.p90/.p99` quantile rows (DESIGN.md §15)
+/// — raw buckets are reachable through StructuredSnapshot() for the
+/// Prometheus exporter, which needs the cumulative `_bucket{le=...}` form.
 
 /// Monotonic event count. Relaxed atomics: series are independent and
 /// snapshots are advisory, so no ordering is needed.
@@ -59,34 +59,37 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// Fixed-bucket latency histogram: ascending upper bounds plus an implicit
-/// +inf overflow bucket. A value lands in the first bucket whose bound it
-/// does not exceed (`v <= bound`). Observations past the last bound count
-/// in the overflow bucket and warn once per histogram through MLCS_LOG —
-/// never silently lost.
+/// The one latency histogram (DESIGN.md §15), shared by the registry
+/// (`GetHistogram`) and every wait site (obs/wait_stats.h). One fixed
+/// bucket layout: upper bounds 10 µs … 1 s (a value lands in the first
+/// bucket whose bound it does not exceed) plus +Inf. Records integer
+/// nanoseconds and keeps sum and max besides the buckets; the count is the
+/// bucket total. Lock-free and allocation-free — relaxed atomics only — so
+/// the lock facade may record into it while it blocks.
 class Histogram {
  public:
-  void Observe(double v);
+  static constexpr size_t kNumBounds = 11;
+  static constexpr size_t kNumBuckets = kNumBounds + 1;  // last is +Inf
+  static constexpr uint64_t kBoundsUs[kNumBounds] = {
+      10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000, 500000, 1000000};
 
-  size_t num_buckets() const { return bounds_.size() + 1; }
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Count in bucket `i`; `i == bounds().size()` is the overflow bucket.
-  uint64_t BucketCount(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// A plain copy of a histogram's state: what exporters read and merge.
+  struct Counts {
+    uint64_t buckets[kNumBuckets] = {};
+    uint64_t sum_ns = 0;
+    uint64_t max_ns = 0;
+
+    uint64_t Count() const;
+    void Merge(const Counts& other);
+  };
+
+  void RecordNs(uint64_t ns);
+  Counts Read() const;
 
  private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::vector<double> bounds);
-
-  const std::string name_;
-  const std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<uint64_t>[]> counts_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<bool> overflow_warned_{false};
+  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
+  std::atomic<uint64_t> sum_ns_{0};
+  std::atomic<uint64_t> max_ns_{0};
 };
 
 /// One exported sample row (the `mlcs_metrics()` table schema).
@@ -96,30 +99,15 @@ struct MetricSample {
   double value = 0.0;
 };
 
-/// Interpolated quantile estimates from fixed histogram buckets.
-struct Quantiles {
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Estimates p50/p90/p99 by linear interpolation inside the bucket that
-/// holds each target rank (the Prometheus `histogram_quantile` model).
-/// `bucket_counts` has `num_bounds + 1` entries (the last is the +inf
-/// overflow bucket, whose estimates clamp to the last finite bound — the
-/// error is bounded and one-sided). All zeros when `total_count == 0`.
-Quantiles EstimateQuantiles(const double* bounds, size_t num_bounds,
-                            const uint64_t* bucket_counts,
-                            uint64_t total_count);
-
-/// Full-resolution view of one histogram for structured exporters.
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<uint64_t> counts;  // bounds.size() + 1, last is +inf
-  uint64_t count = 0;
-  double sum = 0.0;
-};
+/// The one flat export of a histogram: `<name>.count`, `.sum`, `.max`,
+/// `.p50`, `.p90`, `.p99` (all but the count in microseconds). Quantiles
+/// interpolate linearly inside the bucket that holds each target rank
+/// (the Prometheus `histogram_quantile` model); ranks in the +Inf bucket
+/// clamp to the last finite bound — the error is bounded and one-sided.
+/// All zeros for an empty histogram.
+void AppendHistogramSamples(const std::string& name,
+                            const Histogram::Counts& h,
+                            std::vector<MetricSample>* out);
 
 /// Kind-separated snapshot — what the Prometheus text exporter renders
 /// (it needs per-bucket counts, which the flat Snapshot() elides in favor
@@ -127,7 +115,7 @@ struct HistogramSnapshot {
 struct RegistrySnapshot {
   std::vector<MetricSample> counters;
   std::vector<MetricSample> gauges;
-  std::vector<HistogramSnapshot> histograms;
+  std::vector<std::pair<std::string, Histogram::Counts>> histograms;
 };
 
 /// Named registration + snapshot over the three metric kinds. Registration
@@ -143,11 +131,8 @@ class MetricsRegistry {
   /// Returns the series registered under `name`, creating it on first use.
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// `bucket_bounds` must be ascending; they apply only on first
-  /// registration (a later caller with different bounds gets the existing
-  /// histogram — bounds are part of the series identity contract).
-  Histogram* GetHistogram(const std::string& name,
-                          std::vector<double> bucket_bounds);
+  /// Histograms share one bucket layout, in microseconds.
+  Histogram* GetHistogram(const std::string& name);
 
   /// Consistent-enough snapshot of every series, sorted by name.
   /// (Individual reads are atomic; the set is not a cross-series
@@ -157,7 +142,7 @@ class MetricsRegistry {
 
   /// Per-kind snapshot with full histogram buckets, sorted by name within
   /// each kind. Wait sites are NOT merged here — exporters render them
-  /// with labels straight from WaitStats.
+  /// with labels from WaitStats::Merged().
   RegistrySnapshot StructuredSnapshot() const;
 
   /// Process-wide registry (leaky singleton, never destroyed). Unlike a

@@ -1,10 +1,6 @@
 #include "obs/wait_stats.h"
 
 #include <cstring>
-#include <map>
-#include <string>
-
-#include "obs/metrics.h"
 
 namespace mlcs::obs {
 
@@ -20,36 +16,6 @@ const char* WaitKindName(WaitKind kind) {
       return "pool";
   }
   return "?";
-}
-
-const double* WaitSite::BoundsUs() {
-  // 10us … 1s: spans a briefly contended spinlock-ish wait through a
-  // saturated admission queue. Shared across sites so Export can merge
-  // duplicate claims bucket-by-bucket.
-  static const double bounds[kNumBounds] = {10,    50,     100,    500,
-                                            1000,  5000,   10000,  50000,
-                                            100000, 500000, 1000000};
-  return bounds;
-}
-
-void WaitSite::RecordWaitNs(uint64_t ns) {
-  const double us = static_cast<double>(ns) / 1000.0;
-  const double* bounds = BoundsUs();
-  size_t bucket = kNumBounds;
-  for (size_t i = 0; i < kNumBounds; ++i) {
-    if (us <= bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  uint64_t prev = max_ns_.load(std::memory_order_relaxed);
-  while (ns > prev &&
-         !max_ns_.compare_exchange_weak(prev, ns,
-                                        std::memory_order_relaxed)) {
-  }
 }
 
 WaitSite* WaitStats::GetSite(WaitKind kind, const char* name) {
@@ -87,66 +53,18 @@ WaitSite* WaitStats::GetSite(WaitKind kind, const char* name) {
   return &site;
 }
 
-std::vector<const WaitSite*> WaitStats::Sites() const {
-  std::vector<const WaitSite*> out;
-  uint32_t published = num_sites_.load(std::memory_order_acquire);
-  for (uint32_t i = 0; i < published && i < kMaxSites; ++i) {
-    if (sites_[i].state_.load(std::memory_order_acquire) == 2) {
-      out.push_back(&sites_[i]);
-    }
-  }
-  if (overflow_.state_.load(std::memory_order_acquire) == 2) {
-    out.push_back(&overflow_);
-  }
-  return out;
-}
-
-void WaitStats::Export(std::vector<MetricSample>* out) const {
-  struct Merged {
-    uint64_t count = 0;
-    uint64_t total_ns = 0;
-    uint64_t max_ns = 0;
-    uint64_t buckets[WaitSite::kNumBounds + 1] = {};
+std::map<std::pair<std::string, std::string>, Histogram::Counts>
+WaitStats::Merged() const {
+  std::map<std::pair<std::string, std::string>, Histogram::Counts> out;
+  auto add = [&out](const WaitSite& site) {
+    if (site.state_.load(std::memory_order_acquire) != 2) return;
+    out[{WaitKindName(site.kind()), site.name()}].Merge(
+        site.histogram().Read());
   };
-  std::map<std::string, Merged> merged;
-  for (const WaitSite* site : Sites()) {
-    Merged& m = merged[std::string("mlcs.wait.") +
-                       WaitKindName(site->kind()) + "." + site->name()];
-    m.count += site->Count();
-    m.total_ns += site->TotalNs();
-    if (site->MaxNs() > m.max_ns) m.max_ns = site->MaxNs();
-    for (size_t i = 0; i <= WaitSite::kNumBounds; ++i) {
-      m.buckets[i] += site->BucketCount(i);
-    }
-  }
-  for (const auto& [name, m] : merged) {
-    Quantiles q = EstimateQuantiles(WaitSite::BoundsUs(),
-                                    WaitSite::kNumBounds, m.buckets,
-                                    m.count);
-    out->push_back(
-        {name + ".count", "histogram", static_cast<double>(m.count)});
-    out->push_back({name + ".sum", "histogram",
-                    static_cast<double>(m.total_ns) / 1000.0});
-    out->push_back({name + ".max", "histogram",
-                    static_cast<double>(m.max_ns) / 1000.0});
-    out->push_back({name + ".p50", "histogram", q.p50});
-    out->push_back({name + ".p90", "histogram", q.p90});
-    out->push_back({name + ".p99", "histogram", q.p99});
-  }
-}
-
-void WaitStats::ResetCountersForTesting() {
   uint32_t published = num_sites_.load(std::memory_order_acquire);
-  for (uint32_t i = 0; i < published && i < kMaxSites; ++i) {
-    WaitSite& site = sites_[i];
-    if (site.state_.load(std::memory_order_acquire) != 2) continue;
-    site.count_.store(0, std::memory_order_relaxed);
-    site.total_ns_.store(0, std::memory_order_relaxed);
-    site.max_ns_.store(0, std::memory_order_relaxed);
-    for (size_t b = 0; b <= WaitSite::kNumBounds; ++b) {
-      site.buckets_[b].store(0, std::memory_order_relaxed);
-    }
-  }
+  for (uint32_t i = 0; i < published && i < kMaxSites; ++i) add(sites_[i]);
+  add(overflow_);
+  return out;
 }
 
 WaitStats& WaitStats::Global() {

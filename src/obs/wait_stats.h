@@ -4,11 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <map>
+#include <string>
+#include <utility>
+
+#include "obs/metrics.h"
 
 namespace mlcs::obs {
-
-struct MetricSample;
 
 /// Wait-state attribution (DESIGN.md §15). Every blocking primitive in the
 /// engine — contended mlcs::Mutex acquisitions, BoundedQueue consumer
@@ -21,8 +23,9 @@ struct MetricSample;
 /// wait must never take a lock (the most important caller *is* the lock
 /// facade, including MetricsRegistry's own mutex — routing through the
 /// registry would recurse). Sites live in a fixed-capacity array, claimed
-/// with a lock-free CAS handshake, and bump relaxed atomics; the flat
-/// MetricsRegistry::Global() snapshot merges them in at export time.
+/// with a lock-free CAS handshake; each holds one obs::Histogram, the same
+/// type the registry uses, so both export through one flat path and one
+/// Prometheus renderer.
 
 /// Which blocking primitive a site instruments; becomes the third path
 /// segment of the exported series name.
@@ -31,30 +34,18 @@ enum class WaitKind : uint8_t { kLock = 0, kQueue = 1, kBufpool = 2,
 
 const char* WaitKindName(WaitKind kind);
 
-/// One named blocking site: a fixed-bucket latency histogram (bounds in
-/// microseconds, shared by every site) plus count/total/max. All methods
-/// are lock-free and async-signal-tolerant (plain atomics, no allocation).
+/// One named blocking site: a name, a kind and one obs::Histogram (the
+/// registry's own type — microsecond buckets, ns sum and max). Lock-free
+/// and allocation-free.
 class WaitSite {
  public:
-  static constexpr size_t kNumBounds = 11;
   static constexpr size_t kNameBytes = 56;
-  /// Ascending bucket upper bounds in microseconds (10us … 1s, +inf
-  /// implicit).
-  static const double* BoundsUs();
 
-  void RecordWaitNs(uint64_t ns);
+  void RecordWaitNs(uint64_t ns) { histogram_.RecordNs(ns); }
 
   const char* name() const { return name_; }
   WaitKind kind() const { return kind_; }
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t TotalNs() const {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  uint64_t MaxNs() const { return max_ns_.load(std::memory_order_relaxed); }
-  /// Count in bucket `i`; `i == kNumBounds` is the overflow bucket.
-  uint64_t BucketCount(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  const Histogram& histogram() const { return histogram_; }
 
  private:
   friend class WaitStats;
@@ -62,15 +53,12 @@ class WaitSite {
   std::atomic<uint32_t> state_{0};
   char name_[kNameBytes] = {0};
   WaitKind kind_ = WaitKind::kLock;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> total_ns_{0};
-  std::atomic<uint64_t> max_ns_{0};
-  std::atomic<uint64_t> buckets_[kNumBounds + 1] = {};
+  Histogram histogram_;
 };
 
 /// Fixed-capacity, lock-free site registry. GetSite is idempotent per
 /// (kind, name) modulo a benign claim race (two racing first-callers may
-/// create duplicate sites; Export merges by name, and callers cache the
+/// create duplicate sites; Merged() folds them, and callers cache the
 /// returned pointer so the race is one-shot). Past capacity every caller
 /// shares one "overflow" site — waits are never silently dropped.
 class WaitStats {
@@ -80,16 +68,11 @@ class WaitStats {
   /// Never returns null; `name` is copied (truncated to kNameBytes-1).
   WaitSite* GetSite(WaitKind kind, const char* name);
 
-  /// Appends flat samples (`mlcs.wait.<kind>.<name>.count/.sum/.max/
-  /// .p50/.p90/.p99`, microseconds) merged across duplicate sites.
-  void Export(std::vector<MetricSample>* out) const;
-
-  /// Published sites in claim order (duplicates included).
-  std::vector<const WaitSite*> Sites() const;
-
-  /// Zeroes every published site's counters (the sites themselves persist —
-  /// cached pointers stay valid). Testing/bench only.
-  void ResetCountersForTesting();
+  /// Every published site's histogram keyed by (kind name, site name),
+  /// duplicate claims merged. The flat snapshot exports each as
+  /// `mlcs.wait.<kind>.<site>.*`, Prometheus as `mlcs_wait_us{kind,site}`.
+  std::map<std::pair<std::string, std::string>, Histogram::Counts> Merged()
+      const;
 
   static WaitStats& Global();
 

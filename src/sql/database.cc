@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 
 #include "bufpool/stored_table.h"
 #include "common/file_util.h"
+#include "common/settings.h"
 #include "common/string_util.h"
 #include "exec/operator.h"
 #include "obs/flight_recorder.h"
@@ -105,8 +105,7 @@ Database::Database() {
   cache_evictions_ = registry.GetCounter("mlcs.plan_cache.evictions");
   cache_entries_ = registry.GetGauge("mlcs.plan_cache.entries");
   executor_ = std::make_unique<sql::Executor>(&catalog_, &udfs_);
-  const char* disable = std::getenv("MLCS_DISABLE_OPTIMIZER");
-  if (disable != nullptr && disable[0] != '\0') {
+  if (settings::g_disable_optimizer.Get() != 0) {
     executor_->set_optimizer_enabled(false);
   }
   RegisterBuiltinFunctions();
@@ -270,25 +269,10 @@ Result<TablePtr> Database::Run(const std::string& script) {
 
 Connection Database::Connect() { return Connection(this); }
 
-namespace {
-
-/// Rows per on-disk block when saving; `MLCS_BLOCK_ROWS` overrides for
-/// tests (small values force multi-block tables on tiny data).
-size_t SaveBlockRows() {
-  const char* env = std::getenv("MLCS_BLOCK_ROWS");
-  if (env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && v > 0) return static_cast<size_t>(v);
-  }
-  return bufpool::StoredTable::kDefaultBlockRows;
-}
-
-}  // namespace
-
 Status Database::SaveTo(const std::string& dir) const {
   MLCS_RETURN_IF_ERROR(MakeDirs(dir));
-  size_t block_rows = SaveBlockRows();
+  // MLCS_BLOCK_ROWS: small values force multi-block tables on tiny data.
+  size_t block_rows = static_cast<size_t>(settings::g_block_rows.Get());
   std::string manifest = "mlcs-catalog-v2\n";
   for (const std::string& name : catalog_.ListTables()) {
     // ReadTable: saving must not promote stored entries to resident.

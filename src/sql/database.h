@@ -61,9 +61,9 @@ class Database {
   void set_exec_policy(const MorselPolicy& policy);
   const MorselPolicy& exec_policy() const { return executor_->policy(); }
 
-  /// Toggles the plan rewrite rules (see sql/optimizer.h). Defaults on;
-  /// the MLCS_DISABLE_OPTIMIZER env var (any non-empty value) starts it
-  /// off. Clears the plan cache.
+  /// Toggles the plan rewrite rules (see sql/optimizer.h). A new Database
+  /// starts with them on unless the MLCS_DISABLE_OPTIMIZER setting is 1
+  /// (common/settings.h). Clears the plan cache.
   void set_optimizer_enabled(bool enabled);
   bool optimizer_enabled() const { return executor_->optimizer_enabled(); }
 

@@ -1,28 +1,17 @@
 #include "storage/encoding.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/settings.h"
 #include "obs/metrics.h"
 
 namespace mlcs {
 
 namespace {
-
-/// Default-on toggle, started off by MLCS_DISABLE_ENCODING (same pattern
-/// as zone-map skipping — bufpool/zone_map.cc).
-std::atomic<int>& EncodingState() {
-  static std::atomic<int> state([] {
-    const char* env = std::getenv("MLCS_DISABLE_ENCODING");
-    return (env != nullptr && env[0] != '\0') ? 0 : 1;
-  }());
-  return state;
-}
 
 /// mlcs.encode.* series; pointers cached so hot paths skip the registry
 /// lock.
@@ -210,11 +199,11 @@ TablePtr DecodeTable(const TablePtr& table) {
 }
 
 bool EncodingEnabled() {
-  return EncodingState().load(std::memory_order_relaxed) != 0;
+  return settings::g_disable_encoding.Get() == 0;
 }
 
 void SetEncodingEnabled(bool enabled) {
-  EncodingState().store(enabled ? 1 : 0, std::memory_order_relaxed);
+  settings::g_disable_encoding.Set(enabled ? 0 : 1);
 }
 
 uint64_t EncodeColumnsEncoded() { return ColumnsEncodedCounter()->Value(); }

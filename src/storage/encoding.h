@@ -45,8 +45,8 @@ TablePtr EncodeTable(const TablePtr& table,
 /// UDF argument vectors, ML ingestion).
 TablePtr DecodeTable(const TablePtr& table);
 
-/// Process-wide toggle for producing encoded columns (default on; the
-/// MLCS_DISABLE_ENCODING env var starts it off — recorded in BENCH json).
+/// Process-wide toggle for producing encoded columns (default on;
+/// MLCS_DISABLE_ENCODING=1 starts it off — common/settings.h).
 /// When off, EncodeTable is a no-op and block scans decode any encoded
 /// chunks they read, so previously-saved encoded tables still execute
 /// plain end-to-end: that is the bit-identical parity axis the property

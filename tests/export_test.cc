@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,20 +48,93 @@ TEST(PrometheusExportTest, CounterAndGaugeFamilies) {
 }
 
 TEST(PrometheusExportTest, HistogramIsCumulativeWithInfBucket) {
-  Histogram* h = MetricsRegistry::Global().GetHistogram(
-      "test.export.prom_hist", {1.0, 2.0});
-  h->Observe(0.5);
-  h->Observe(1.5);
-  h->Observe(99.0);  // overflow bucket
+  Histogram* h =
+      MetricsRegistry::Global().GetHistogram("test.export.prom_hist");
+  h->RecordNs(5'000);          // 5 µs → le 10
+  h->RecordNs(20'000);         // 20 µs → le 50
+  h->RecordNs(2'000'000'000);  // 2 s → +Inf
   std::string text = PrometheusText();
-  // Buckets are cumulative; +Inf equals _count; _sum is the raw total.
+  // Buckets (µs bounds) are cumulative; +Inf equals _count; _sum is the
+  // raw total in µs.
   EXPECT_NE(text.find("# TYPE test_export_prom_hist histogram\n"
-                      "test_export_prom_hist_bucket{le=\"1\"} 1\n"
-                      "test_export_prom_hist_bucket{le=\"2\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"10\"} 1\n"
+                      "test_export_prom_hist_bucket{le=\"50\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"100\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"500\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"1000\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"5000\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"10000\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"50000\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"100000\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"500000\"} 2\n"
+                      "test_export_prom_hist_bucket{le=\"1000000\"} 2\n"
                       "test_export_prom_hist_bucket{le=\"+Inf\"} 3\n"
-                      "test_export_prom_hist_sum 101\n"
+                      "test_export_prom_hist_sum 2000025\n"
                       "test_export_prom_hist_count 3\n"),
             std::string::npos)
+      << text;
+}
+
+/// The sample lines of one Prometheus histogram series, with the family
+/// name and the series' label set cut out: `_bucket{le="10"} 1`, ...
+std::vector<std::string> SeriesLines(const std::string& text,
+                                     const std::string& family,
+                                     const std::string& labels) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(family + "_", 0) != 0) continue;
+    line = line.substr(family.size());
+    if (!labels.empty()) {
+      size_t at = line.find("{" + labels + "}");
+      if (at != std::string::npos) {
+        line.erase(at, labels.size() + 2);
+      } else if ((at = line.find(labels + ",")) != std::string::npos) {
+        line.erase(at, labels.size() + 1);
+      } else {
+        continue;  // another series of the family
+      }
+    }
+    out.push_back(line);
+  }
+  return out;
+}
+
+TEST(HistogramExportTest, RegistryHistogramAndWaitSiteExportAlike) {
+  // One histogram type behind both: the same recordings must give the
+  // same flat suffixes and values, and the same Prometheus lines up to the
+  // family name and the label set.
+  Histogram* h =
+      MetricsRegistry::Global().GetHistogram("test.export.alike");
+  WaitSite* site =
+      WaitStats::Global().GetSite(WaitKind::kQueue, "test.export.alike");
+  for (uint64_t ns : {3'000u, 70'000u, 4'000'000u}) {
+    h->RecordNs(ns);
+    site->RecordWaitNs(ns);
+  }
+  // Flat rows by suffix (.count, .sum, .max, .p50, .p90, .p99).
+  std::map<std::string, double> registry_rows;
+  std::map<std::string, double> site_rows;
+  const std::string reg = "test.export.alike.";
+  const std::string wait = "mlcs.wait.queue.test.export.alike.";
+  for (const MetricSample& s : MetricsRegistry::Global().Snapshot()) {
+    if (s.name.rfind(reg, 0) == 0) {
+      registry_rows[s.name.substr(reg.size())] = s.value;
+    }
+    if (s.name.rfind(wait, 0) == 0) {
+      site_rows[s.name.substr(wait.size())] = s.value;
+    }
+  }
+  EXPECT_EQ(registry_rows.size(), 6u);
+  EXPECT_EQ(registry_rows, site_rows);
+
+  std::string text = PrometheusText();
+  std::vector<std::string> registry_lines =
+      SeriesLines(text, "test_export_alike", "");
+  EXPECT_EQ(registry_lines.size(), Histogram::kNumBuckets + 2);
+  EXPECT_EQ(registry_lines,
+            SeriesLines(text, "mlcs_wait_us",
+                        "kind=\"queue\",site=\"test.export.alike\""))
       << text;
 }
 

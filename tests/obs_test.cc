@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,34 +48,35 @@ TEST(MetricsRegistryTest, GaugeSetAddAndMax) {
 
 TEST(MetricsRegistryTest, HistogramBucketEdges) {
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.hist", {1.0, 10.0});
-  // v <= bound lands in that bucket; past the last bound → overflow.
-  h->Observe(0.5);    // bucket 0
-  h->Observe(1.0);    // bucket 0 (inclusive upper edge)
-  h->Observe(5.0);    // bucket 1
-  h->Observe(100.0);  // overflow bucket
-  ASSERT_EQ(h->num_buckets(), 3u);
-  EXPECT_EQ(h->BucketCount(0), 2u);
-  EXPECT_EQ(h->BucketCount(1), 1u);
-  EXPECT_EQ(h->BucketCount(2), 1u);
-  EXPECT_EQ(h->Count(), 4u);
-  EXPECT_DOUBLE_EQ(h->Sum(), 106.5);
-  // Bounds are series identity: a second registration's bounds are
-  // ignored, the existing histogram comes back.
-  EXPECT_EQ(registry.GetHistogram("test.hist", {99.0}), h);
+  Histogram* h = registry.GetHistogram("test.hist");
+  // One fixed layout (µs bounds 10, 50, ... 1 s, +Inf); v <= bound lands
+  // in that bucket.
+  h->RecordNs(5'000);          // 5 µs → bucket 0
+  h->RecordNs(10'000);         // 10 µs → bucket 0 (inclusive upper edge)
+  h->RecordNs(10'001);         // just past 10 µs → bucket 1 (le 50 µs)
+  h->RecordNs(2'000'000'000);  // 2 s → +Inf bucket
+  Histogram::Counts c = h->Read();
+  EXPECT_EQ(c.buckets[0], 2u);
+  EXPECT_EQ(c.buckets[1], 1u);
+  EXPECT_EQ(c.buckets[Histogram::kNumBounds], 1u);
+  EXPECT_EQ(c.Count(), 4u);
+  EXPECT_EQ(c.sum_ns, 2'000'025'001u);
+  EXPECT_EQ(c.max_ns, 2'000'000'000u);
+  // Same name → same histogram.
+  EXPECT_EQ(registry.GetHistogram("test.hist"), h);
 }
 
 TEST(MetricsRegistryTest, SnapshotExportsEverySeriesSorted) {
   MetricsRegistry registry;
   registry.GetCounter("test.b.counter")->Add(2);
   registry.GetGauge("test.a.gauge")->Set(-5);
-  Histogram* h = registry.GetHistogram("test.c.hist", {1.0});
-  h->Observe(0.5);
-  h->Observe(7.0);
+  Histogram* h = registry.GetHistogram("test.c.hist");
+  h->RecordNs(5'000);          // 5 µs, bucket le=10
+  h->RecordNs(2'000'000'000);  // 2 s, +Inf
   std::vector<MetricSample> samples = registry.Snapshot();
-  // gauge + counter + histogram rows (count, p50, p90, p99, sum) — the
-  // quantiles replaced the old raw `.le_<bound>` bucket rows.
-  ASSERT_EQ(samples.size(), 7u);
+  // gauge + counter + histogram rows (count, max, p50, p90, p99, sum) —
+  // the quantiles replaced the old raw `.le_<bound>` bucket rows.
+  ASSERT_EQ(samples.size(), 8u);
   for (size_t i = 1; i < samples.size(); ++i) {
     EXPECT_LT(samples[i - 1].name, samples[i].name);
   }
@@ -87,45 +89,54 @@ TEST(MetricsRegistryTest, SnapshotExportsEverySeriesSorted) {
   EXPECT_EQ(samples[2].name, "test.c.hist.count");
   EXPECT_EQ(samples[2].kind, "histogram");
   EXPECT_DOUBLE_EQ(samples[2].value, 2.0);
-  // One sample at 0.5 (bucket le=1), one at 7.0 (+inf): the median
-  // interpolates to the first bound; the tail clamps to it (one-sided
-  // bounded error, never an invented value past the data).
-  EXPECT_EQ(samples[3].name, "test.c.hist.p50");
-  EXPECT_DOUBLE_EQ(samples[3].value, 1.0);
-  EXPECT_EQ(samples[4].name, "test.c.hist.p90");
-  EXPECT_DOUBLE_EQ(samples[4].value, 1.0);
-  EXPECT_EQ(samples[5].name, "test.c.hist.p99");
-  EXPECT_DOUBLE_EQ(samples[5].value, 1.0);
-  EXPECT_EQ(samples[6].name, "test.c.hist.sum");
-  EXPECT_DOUBLE_EQ(samples[6].value, 7.5);
+  EXPECT_EQ(samples[3].name, "test.c.hist.max");
+  EXPECT_DOUBLE_EQ(samples[3].value, 2'000'000.0);
+  // One sample in bucket le=10, one in +Inf: the median interpolates to
+  // the first bound; the tail clamps to the last finite bound (one-sided
+  // bounded error, never an invented value past the layout).
+  EXPECT_EQ(samples[4].name, "test.c.hist.p50");
+  EXPECT_DOUBLE_EQ(samples[4].value, 10.0);
+  EXPECT_EQ(samples[5].name, "test.c.hist.p90");
+  EXPECT_DOUBLE_EQ(samples[5].value, 1'000'000.0);
+  EXPECT_EQ(samples[6].name, "test.c.hist.p99");
+  EXPECT_DOUBLE_EQ(samples[6].value, 1'000'000.0);
+  EXPECT_EQ(samples[7].name, "test.c.hist.sum");
+  EXPECT_DOUBLE_EQ(samples[7].value, 2'000'005.0);
+}
+
+/// The flat export of `c` by suffix: count, sum, max, p50, p90, p99.
+std::map<std::string, double> FlatRows(const Histogram::Counts& c) {
+  std::vector<MetricSample> rows;
+  AppendHistogramSamples("h", c, &rows);
+  std::map<std::string, double> out;
+  for (const MetricSample& r : rows) out[r.name.substr(2)] = r.value;
+  return out;
 }
 
 TEST(QuantileTest, InterpolatesWithinBuckets) {
-  const double bounds[2] = {10.0, 20.0};
-  const uint64_t counts[3] = {5, 5, 0};
-  Quantiles q = EstimateQuantiles(bounds, 2, counts, 10);
+  Histogram::Counts c;
+  c.buckets[0] = 5;  // le 10 µs
+  c.buckets[1] = 5;  // le 50 µs
+  std::map<std::string, double> q = FlatRows(c);
   // p50 rank 5 exhausts bucket 0 exactly → its upper bound.
-  EXPECT_DOUBLE_EQ(q.p50, 10.0);
-  // p90 rank 9: 4 of bucket 1's 5 → 10 + 0.8 * 10.
-  EXPECT_DOUBLE_EQ(q.p90, 18.0);
-  EXPECT_DOUBLE_EQ(q.p99, 19.8);
+  EXPECT_DOUBLE_EQ(q["p50"], 10.0);
+  // p90 rank 9: 4 of bucket 1's 5 → 10 + 0.8 * 40.
+  EXPECT_DOUBLE_EQ(q["p90"], 42.0);
+  EXPECT_DOUBLE_EQ(q["p99"], 49.2);
 }
 
 TEST(QuantileTest, OverflowBucketClampsToLastBound) {
-  const double bounds[2] = {10.0, 20.0};
-  const uint64_t counts[3] = {0, 0, 4};
-  Quantiles q = EstimateQuantiles(bounds, 2, counts, 4);
-  EXPECT_DOUBLE_EQ(q.p50, 20.0);
-  EXPECT_DOUBLE_EQ(q.p99, 20.0);
+  Histogram::Counts c;
+  c.buckets[Histogram::kNumBounds] = 4;
+  std::map<std::string, double> q = FlatRows(c);
+  EXPECT_DOUBLE_EQ(q["p50"], 1'000'000.0);
+  EXPECT_DOUBLE_EQ(q["p99"], 1'000'000.0);
 }
 
 TEST(QuantileTest, EmptyHistogramIsAllZero) {
-  const double bounds[1] = {10.0};
-  const uint64_t counts[2] = {0, 0};
-  Quantiles q = EstimateQuantiles(bounds, 1, counts, 0);
-  EXPECT_DOUBLE_EQ(q.p50, 0.0);
-  EXPECT_DOUBLE_EQ(q.p90, 0.0);
-  EXPECT_DOUBLE_EQ(q.p99, 0.0);
+  std::map<std::string, double> q = FlatRows(Histogram::Counts{});
+  EXPECT_EQ(q.size(), 6u);
+  for (const auto& [suffix, value] : q) EXPECT_DOUBLE_EQ(value, 0.0) << suffix;
 }
 
 TEST(WaitStatsTest, SiteRecordsCountTotalMaxAndBuckets) {
@@ -136,13 +147,14 @@ TEST(WaitStatsTest, SiteRecordsCountTotalMaxAndBuckets) {
             site);
   EXPECT_NE(WaitStats::Global().GetSite(WaitKind::kQueue, "test.obs.site"),
             site);
-  uint64_t count_before = site->Count();
+  uint64_t count_before = site->histogram().Read().Count();
   site->RecordWaitNs(5'000);       // 5us → first bucket (le 10us)
   site->RecordWaitNs(2'000'000);   // 2ms
-  EXPECT_EQ(site->Count(), count_before + 2);
-  EXPECT_GE(site->TotalNs(), 2'005'000u);
-  EXPECT_GE(site->MaxNs(), 2'000'000u);
-  EXPECT_GE(site->BucketCount(0), 1u);
+  Histogram::Counts c = site->histogram().Read();
+  EXPECT_EQ(c.Count(), count_before + 2);
+  EXPECT_GE(c.sum_ns, 2'005'000u);
+  EXPECT_GE(c.max_ns, 2'000'000u);
+  EXPECT_GE(c.buckets[0], 1u);
 }
 
 TEST(WaitStatsTest, GlobalSnapshotMergesWaitSeries) {
@@ -151,6 +163,7 @@ TEST(WaitStatsTest, GlobalSnapshotMergesWaitSeries) {
   site->RecordWaitNs(42'000);
   bool found_count = false;
   bool found_p50 = false;
+  bool found_max = false;
   for (const MetricSample& s : MetricsRegistry::Global().Snapshot()) {
     if (s.name == "mlcs.wait.bufpool.test.obs.merge.count") {
       found_count = true;
@@ -158,15 +171,20 @@ TEST(WaitStatsTest, GlobalSnapshotMergesWaitSeries) {
       EXPECT_GE(s.value, 1.0);
     }
     if (s.name == "mlcs.wait.bufpool.test.obs.merge.p50") found_p50 = true;
+    if (s.name == "mlcs.wait.bufpool.test.obs.merge.max") {
+      found_max = true;
+      EXPECT_GE(s.value, 42.0);  // µs
+    }
   }
   EXPECT_TRUE(found_count);
   EXPECT_TRUE(found_p50);
+  EXPECT_TRUE(found_max);
 }
 
 TEST(MetricsRegistryTest, ConcurrentBumpsLoseNothing) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.concurrent");
-  Histogram* h = registry.GetHistogram("test.concurrent.hist", {100.0});
+  Histogram* h = registry.GetHistogram("test.concurrent.hist");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1000;
   std::vector<std::thread> threads;
@@ -174,7 +192,7 @@ TEST(MetricsRegistryTest, ConcurrentBumpsLoseNothing) {
     threads.emplace_back([&registry, c, h] {
       for (int i = 0; i < kPerThread; ++i) {
         c->Add(1);
-        h->Observe(1.0);
+        h->RecordNs(1'000);
         // Concurrent registration of the same name must also be safe.
         registry.GetCounter("test.concurrent")->Add(0);
       }
@@ -182,8 +200,10 @@ TEST(MetricsRegistryTest, ConcurrentBumpsLoseNothing) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c->Value(), static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(h->Count(), static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(h->BucketCount(0), static_cast<uint64_t>(kThreads * kPerThread));
+  Histogram::Counts counts = h->Read();
+  EXPECT_EQ(counts.Count(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(counts.buckets[0], static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(counts.sum_ns, static_cast<uint64_t>(kThreads * kPerThread) * 1000);
 }
 
 TEST(MirroredCounterTest, BumpsLocalAndGlobal) {

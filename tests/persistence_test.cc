@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/settings.h"
 #include "ml/naive_bayes.h"
 #include "ml/pickle.h"
 #include "modelstore/model_store.h"
@@ -113,7 +114,8 @@ TEST(PersistenceTest, EmptyDatabaseSavesCleanly) {
 /// until a mutating access), and SELECTs never force promotion.
 TEST(PersistenceTest, MultiBlockRoundTripIsLazyAndBitIdentical) {
   std::string dir = TempDirFor("db_multiblock");
-  setenv("MLCS_BLOCK_ROWS", "256", 1);
+  const int64_t block_rows_before = settings::g_block_rows.Get();
+  settings::g_block_rows.Set(256);
   TablePtr before;
   {
     Database db;
@@ -144,7 +146,7 @@ TEST(PersistenceTest, MultiBlockRoundTripIsLazyAndBitIdentical) {
     before = db.Query("SELECT * FROM big ORDER BY x").ValueOrDie();
     ASSERT_TRUE(db.SaveTo(dir).ok());
   }
-  unsetenv("MLCS_BLOCK_ROWS");
+  settings::g_block_rows.Set(block_rows_before);
 
   Database restored;
   ASSERT_TRUE(restored.LoadFrom(dir).ok());
@@ -172,7 +174,8 @@ TEST(PersistenceTest, MultiBlockRoundTripIsLazyAndBitIdentical) {
 /// pool) instead of silently serving pre-save data.
 TEST(PersistenceTest, ResaveInOneProcessIsNotServedStaleFromThePool) {
   std::string dir = TempDirFor("db_resave_pool");
-  setenv("MLCS_BLOCK_ROWS", "256", 1);
+  const int64_t block_rows_before = settings::g_block_rows.Get();
+  settings::g_block_rows.Set(256);
   {
     Database db;
     ASSERT_TRUE(db.Run("CREATE TABLE t (x INTEGER);").ok());
@@ -201,7 +204,7 @@ TEST(PersistenceTest, ResaveInOneProcessIsNotServedStaleFromThePool) {
                   .ValueOrDie(),
               Value::Int64(1024));
   }
-  unsetenv("MLCS_BLOCK_ROWS");
+  settings::g_block_rows.Set(block_rows_before);
 }
 
 /// Pre-block-storage layouts (tables.txt + monolithic .mlt files) still

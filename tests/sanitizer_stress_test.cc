@@ -17,6 +17,7 @@
 #include "client/client.h"
 #include "common/mutex.h"
 #include "common/random.h"
+#include "common/settings.h"
 #include "common/thread_pool.h"
 #include "exec/kernels.h"
 #include "ml/matrix.h"
@@ -646,9 +647,10 @@ TEST(SanitizerStressTest, BufferPoolConcurrentScansAndEviction) {
       insert += "')";
     }
     ASSERT_TRUE(writer.Query(insert).ok());
-    setenv("MLCS_BLOCK_ROWS", "32", 1);  // 16 blocks → real LRU churn
+    const int64_t block_rows_before = settings::g_block_rows.Get();
+    settings::g_block_rows.Set(32);  // 16 blocks → real LRU churn
     ASSERT_TRUE(writer.SaveTo(dir).ok());
-    unsetenv("MLCS_BLOCK_ROWS");
+    settings::g_block_rows.Set(block_rows_before);
   }
   Database db;
   ASSERT_TRUE(db.LoadFrom(dir).ok());

@@ -17,6 +17,7 @@
 #include <set>
 #include <vector>
 
+#include "common/settings.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "ml/training_source.h"
@@ -166,9 +167,10 @@ TEST_F(SqlIntrospectionTest, ExplainAnalyzeShowsBlockSkippingOnStored) {
   // selective predicate then exercises zone-map skipping, which EXPLAIN
   // ANALYZE must surface on the SCAN line.
   std::string dir = testing::TempDir() + "/introspect_stored";
-  setenv("MLCS_BLOCK_ROWS", "1", 1);
+  const int64_t block_rows_before = settings::g_block_rows.Get();
+  settings::g_block_rows.Set(1);
   ASSERT_TRUE(db_.SaveTo(dir).ok());
-  unsetenv("MLCS_BLOCK_ROWS");
+  settings::g_block_rows.Set(block_rows_before);
   Database stored_db;
   ASSERT_TRUE(stored_db.LoadFrom(dir).ok());
   auto r = stored_db.Query(

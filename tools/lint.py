@@ -95,6 +95,12 @@ Rules
                         buffers, and raw open()/write()/close() (DESIGN.md
                         §15). A deliberate exception opts out with
                         `// lint:allow(signal-unsafe)` plus a reason.
+  getenv                `std::getenv` / `getenv(` under src/ outside
+                        common/settings.cc. Every MLCS_* knob is an entry
+                        of the one settings table (common/settings.h,
+                        DESIGN.md §18): one grammar, read at first use,
+                        surfaced as mlcs_settings(). A new knob becomes an
+                        entry there, not a parser of its own.
   adhoc-stats           Declaring a `struct <Name>Stats` outside src/obs/ —
                         new counters belong on the metrics registry
                         (obs::MetricsRegistry, `mlcs.<subsystem>.<series>`)
@@ -654,6 +660,26 @@ def check_signal_unsafe(path, relpath, lines):
             break
 
 
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
+GETENV_ALLOWED = ("src/common/settings.cc",)
+
+
+def check_getenv(path, relpath, lines):
+    rel = relpath.replace(os.sep, "/")
+    if not rel.startswith("src/") or rel in GETENV_ALLOWED:
+        return
+    for i, raw in enumerate(lines):
+        line = strip_comments_and_strings(raw)
+        if not GETENV_RE.search(line):
+            continue
+        if allowed(raw, "getenv"):
+            continue
+        report(path, i + 1, "getenv",
+               "`getenv` outside common/settings.cc; add an entry to the "
+               "settings table (common/settings.h) instead of parsing a "
+               "knob here")
+
+
 ADHOC_STATS_RE = re.compile(r"^\s*struct\s+\w*Stats\b")
 
 
@@ -708,6 +734,7 @@ def lint_file(path, headers):
     check_row_decode(path, relpath, lines)
     check_matrix_materialize(path, relpath, lines)
     check_adhoc_stats(path, relpath, lines)
+    check_getenv(path, relpath, lines)
     check_signal_unsafe(path, relpath, lines)
 
 
