@@ -1,10 +1,7 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 
-#include "common/parallel_for.h"
 #include "common/settings.h"
 
 namespace mlcs {
@@ -59,34 +56,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   queue_depth_->Add(1);
   cv_.NotifyOne();
   return fut;
-}
-
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  ParallelForChunks(count, num_threads(),
-                    [&fn](size_t, size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) fn(i);
-                    });
-}
-
-void ThreadPool::ParallelForChunks(
-    size_t count, size_t num_chunks,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (count == 0) return;
-  num_chunks = std::max<size_t>(1, std::min(num_chunks, count));
-  // The chunks are ParallelMorsels' morsels: the caller claims chunks too,
-  // so a pool worker calling this (a forest fit inside an SQL statement
-  // the server runs as a pool task) never waits on a chunk no thread runs.
-  MorselPolicy policy;
-  policy.pool = this;
-  policy.morsel_rows = (count + num_chunks - 1) / num_chunks;
-  Status ignored = ParallelMorsels(
-      policy, count, [&fn](size_t chunk, size_t begin, size_t end) {
-        fn(chunk, begin, end);
-        return Status::OK();
-      });
-  (void)ignored;  // fn reports nothing
 }
 
 void ThreadPool::WorkerLoop() {

@@ -14,8 +14,9 @@
 
 namespace mlcs {
 
-/// Fixed-size worker pool. Supports fire-and-forget Submit plus a blocking
-/// ParallelFor used by the chunked UDF driver and random-forest training.
+/// Fixed-size worker pool with fire-and-forget Submit. Blocking parallel
+/// loops run on it through ParallelMorsels/ParallelItems
+/// (common/parallel_for.h).
 class ThreadPool {
  public:
   /// `num_threads == 0` means DefaultThreadCount().
@@ -29,17 +30,6 @@ class ThreadPool {
 
   /// Enqueues a task; returns a future for completion/raised value.
   std::future<void> Submit(std::function<void()> task);
-
-  /// Runs fn(i) for i in [0, count), partitioned across the pool, and
-  /// blocks until all iterations finish. fn must be thread-safe.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Splits [0, count) into `num_chunks` contiguous ranges and runs
-  /// fn(chunk_index, begin, end) for each in parallel. The caller runs
-  /// chunks too, so calling this from a pool task cannot deadlock.
-  void ParallelForChunks(
-      size_t count, size_t num_chunks,
-      const std::function<void(size_t, size_t, size_t)>& fn);
 
   /// Process-wide shared pool (lazily constructed, never destroyed —
   /// avoids static destruction order issues per Google style).

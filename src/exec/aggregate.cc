@@ -111,56 +111,21 @@ void MergeStrInto(StrState* g, bool g_had_value, const StrState& l) {
   if (!g_had_value || l.smax > g->smax) g->smax = l.smax;
 }
 
-/// Hash-to-group-id resolution shared by the morsel-local pass and the
-/// global merge. Representatives are absolute input rows, so CellEquals
-/// works identically for both. Open addressing over a flat slot array —
-/// a node-based map here costs one malloc per group per morsel, which at
-/// 16K-row morsels dominated the whole operator.
-struct GroupSet {
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t gid = UINT32_MAX;  // UINT32_MAX = empty
-  };
-  std::vector<Slot> slots;
+/// Group ids of one key table: the shared hash index plus each id's
+/// representative row. Representatives are absolute input rows, so the
+/// key compare works identically for the morsel-local tables and the
+/// global merge. Ids are first-seen, which fixes the output order.
+struct Groups {
+  HashIndex index;
   std::vector<uint32_t> rep;  // gid → first input row
-  size_t mask = 0;
 
   uint32_t Resolve(uint64_t hash, size_t row,
                    const std::vector<ColumnPtr>& key_cols) {
-    if (slots.empty() || rep.size() * 2 >= slots.size()) Grow();
-    size_t slot = hash & mask;
-    while (slots[slot].gid != UINT32_MAX) {
-      if (slots[slot].hash == hash) {
-        size_t r = rep[slots[slot].gid];
-        bool equal = true;
-        for (const auto& col : key_cols) {
-          if (!CellEquals(*col, row, *col, r)) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal) return slots[slot].gid;
-      }
-      slot = (slot + 1) & mask;
-    }
-    uint32_t gid = static_cast<uint32_t>(rep.size());
-    rep.push_back(static_cast<uint32_t>(row));
-    slots[slot] = {hash, gid};
+    uint32_t gid = index.FindOrInsert(hash, [&](uint32_t g) {
+      return KeysEqual(key_cols, row, key_cols, rep[g]);
+    });
+    if (gid == rep.size()) rep.push_back(static_cast<uint32_t>(row));
     return gid;
-  }
-
- private:
-  void Grow() {
-    size_t cap = slots.empty() ? 64 : slots.size() * 2;
-    std::vector<Slot> old = std::move(slots);
-    slots.assign(cap, Slot{});
-    mask = cap - 1;
-    for (const Slot& s : old) {
-      if (s.gid == UINT32_MAX) continue;
-      size_t slot = s.hash & mask;
-      while (slots[slot].gid != UINT32_MAX) slot = (slot + 1) & mask;
-      slots[slot] = s;
-    }
   }
 };
 
@@ -226,7 +191,7 @@ Result<TablePtr> HashGroupBy(const Table& input,
   // chain, no per-row key compare. Dictionary entries are distinct, so
   // code equality ⇔ value equality (nulls get the one-past-the-dict
   // bucket), and first-seen gid assignment walks rows in the same order as
-  // GroupSet::Resolve — group ids, output order, and accumulation order
+  // Groups::Resolve — group ids, output order, and accumulation order
   // are identical to the hash path, keeping results bit-identical with
   // encoding disabled.
   const Column* code_key = group_keys.size() == 1 &&
@@ -363,7 +328,7 @@ Result<TablePtr> HashGroupBy(const Table& input,
   // (even on one thread): boundaries are fixed, so the double-precision
   // accumulation order is the same at every thread count.
   struct LocalGroups {
-    GroupSet groups;
+    Groups groups;
     std::vector<std::vector<Accumulator>> accs;  // [aggregate][local gid]
     std::vector<std::vector<StrState>> strs;     // only for string aggs
   };
@@ -481,7 +446,7 @@ Result<TablePtr> HashGroupBy(const Table& input,
   // Serial merge in (morsel asc, local gid asc) order. Globals are created
   // in that order, which is exactly the serial first-seen group order, and
   // each global representative is the group's overall first row.
-  GroupSet global;
+  Groups global;
   std::vector<std::vector<Accumulator>> accs(aggregates.size());
   std::vector<std::vector<StrState>> strs(aggregates.size());
   if (group_keys.empty()) {

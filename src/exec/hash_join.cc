@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "exec/kernels.h"
 #include "storage/encoding.h"
@@ -34,14 +33,6 @@ Result<std::vector<uint64_t>> KeyHashes(
   return hashes;
 }
 
-bool KeysEqual(const std::vector<ColumnPtr>& left_cols, size_t li,
-               const std::vector<ColumnPtr>& right_cols, size_t ri) {
-  for (size_t k = 0; k < left_cols.size(); ++k) {
-    if (!CellEquals(*left_cols[k], li, *right_cols[k], ri)) return false;
-  }
-  return true;
-}
-
 bool AnyKeyNull(const std::vector<ColumnPtr>& cols, size_t row) {
   for (const auto& c : cols) {
     if (c->IsNull(row)) return true;
@@ -49,9 +40,9 @@ bool AnyKeyNull(const std::vector<ColumnPtr>& cols, size_t row) {
   return false;
 }
 
-/// Partition index from the hash's high byte. The maps below bucket by the
-/// low bits (modulo bucket count), so high-bit partitioning keeps per-map
-/// chains as well distributed as a single global map's.
+/// Partition index from the hash's high byte. The per-partition indexes
+/// probe from the low bits, so high-bit partitioning keeps each index as
+/// well distributed as a single global one.
 inline size_t PartitionOf(uint64_t hash, size_t num_partitions) {
   return (hash >> 56) & (num_partitions - 1);
 }
@@ -80,11 +71,13 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
     }
   }
 
-  // Build: hash-partitioned chained table over right rows. `first[p]` maps a
-  // hash to the lowest right row with that hash; `next` threads the rest in
-  // ascending row order (rows are inserted descending with push-front).
-  // Every row of one hash lands in one partition, so chain order — and
-  // therefore match order — does not depend on the partition count.
+  // Build: one hash index per partition resolves right rows to a per-key
+  // id; `head[p][id]` is the lowest right row with that key and `next`
+  // threads the key's other rows in ascending row order (rows are inserted
+  // descending with push-front). A chain holds only equal keys, so a probe
+  // compares once, against the head. Every row of one key lands in one
+  // partition, so chain order — and therefore match order — does not
+  // depend on the partition count.
   size_t right_rows = right.num_rows();
   size_t partitions = 1;
   if (ShouldParallelize(policy, right_rows)) {
@@ -93,23 +86,35 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
     }
   }
   std::vector<uint32_t> next(right_rows, kChainEnd);
-  std::vector<std::unordered_map<uint64_t, uint32_t>> first(partitions);
+  std::vector<HashIndex> index(partitions);
+  std::vector<std::vector<uint32_t>> head(partitions);
   MLCS_RETURN_IF_ERROR(ParallelItems(
       policy, partitions, [&](size_t p) -> Status {
-        auto& map = first[p];
-        map.reserve(right_rows / partitions + 1);
+        std::vector<uint32_t>& heads = head[p];
         for (size_t r = right_rows; r-- > 0;) {
           if (PartitionOf(rhash[r], partitions) != p) continue;
           if (AnyKeyNull(rcols, r)) continue;  // NULL keys never match
-          auto [it, inserted] =
-              map.try_emplace(rhash[r], static_cast<uint32_t>(r));
-          if (!inserted) {
-            next[r] = it->second;
-            it->second = static_cast<uint32_t>(r);
+          uint32_t id = index[p].FindOrInsert(rhash[r], [&](uint32_t k) {
+            return KeysEqual(rcols, r, rcols, heads[k]);
+          });
+          if (id == heads.size()) {
+            heads.push_back(static_cast<uint32_t>(r));
+          } else {
+            next[r] = heads[id];
+            heads[id] = static_cast<uint32_t>(r);
           }
         }
         return Status::OK();
       }));
+  // First right row whose key equals left row `l`'s, or kChainEnd.
+  auto chain_of = [&](size_t l) {
+    size_t p = PartitionOf(lhash[l], partitions);
+    const std::vector<uint32_t>& heads = head[p];
+    uint32_t id = index[p].Find(lhash[l], [&](uint32_t k) {
+      return KeysEqual(lcols, l, rcols, heads[k]);
+    });
+    return id == HashIndex::kNone ? kChainEnd : heads[id];
+  };
 
   // Probe: per-morsel match lists, spliced in morsel order.
   size_t left_rows = left.num_rows();
@@ -118,12 +123,11 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
     std::vector<int64_t> r;
   };
   std::vector<ProbeOut> probe_parts(NumMorsels(policy, left_rows));
-  // Run-level probing: every row of an RLE run carries the same key (and
-  // therefore the same hash), so the match list can be resolved once per
-  // run and replicated across the run's rows — one map lookup and one
-  // chain walk per run instead of per row. Restricted to null-free
-  // single-key probes: validity is per-row, so a nullable column can mix
-  // null and non-null rows inside one run.
+  // Run-level probing: every row of an RLE run carries the same key, so
+  // the chain is resolved once per run and replicated across the run's
+  // rows — one index lookup per run instead of per row. Restricted to
+  // null-free single-key probes: validity is per-row, so a nullable column
+  // can mix null and non-null rows inside one run.
   const Column* rle_key =
       lcols.size() == 1 && lcols[0]->encoding() == ColumnEncoding::kRle &&
               !lcols[0]->has_nulls()
@@ -135,57 +139,32 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
         ProbeOut& out = probe_parts[m];
         out.l.reserve(end - begin);
         out.r.reserve(end - begin);
+        // For each left row in turn, its chain in ascending right-row order.
+        auto emit = [&](size_t l, uint32_t first) {
+          if (first == kChainEnd) {
+            if (type == JoinType::kLeft) {
+              out.l.push_back(static_cast<uint32_t>(l));
+              out.r.push_back(-1);
+            }
+            return;
+          }
+          for (uint32_t r = first; r != kChainEnd; r = next[r]) {
+            out.l.push_back(static_cast<uint32_t>(l));
+            out.r.push_back(r);
+          }
+        };
         if (rle_key != nullptr && end > begin) {
           const auto& starts = rle_key->run_starts();
           size_t run = rle_key->RunIndexOf(begin);
-          std::vector<uint32_t> matches;
           for (size_t l = begin; l < end; ++run) {
             size_t stop = std::min(end, static_cast<size_t>(starts[run + 1]));
-            matches.clear();
-            const auto& map = first[PartitionOf(lhash[l], partitions)];
-            auto it = map.find(lhash[l]);
-            if (it != map.end()) {
-              for (uint32_t r = it->second; r != kChainEnd; r = next[r]) {
-                if (KeysEqual(lcols, l, rcols, r)) matches.push_back(r);
-              }
-            }
-            // Same emission order as the per-row loop below: for each left
-            // row in turn, its chain matches in chain order.
-            for (; l < stop; ++l) {
-              if (matches.empty()) {
-                if (type == JoinType::kLeft) {
-                  out.l.push_back(static_cast<uint32_t>(l));
-                  out.r.push_back(-1);
-                }
-                continue;
-              }
-              for (uint32_t r : matches) {
-                out.l.push_back(static_cast<uint32_t>(l));
-                out.r.push_back(r);
-              }
-            }
+            uint32_t first = chain_of(l);
+            for (; l < stop; ++l) emit(l, first);
           }
           return Status::OK();
         }
         for (size_t l = begin; l < end; ++l) {
-          bool matched = false;
-          if (!AnyKeyNull(lcols, l)) {
-            const auto& map = first[PartitionOf(lhash[l], partitions)];
-            auto it = map.find(lhash[l]);
-            if (it != map.end()) {
-              for (uint32_t r = it->second; r != kChainEnd; r = next[r]) {
-                if (KeysEqual(lcols, l, rcols, r)) {
-                  out.l.push_back(static_cast<uint32_t>(l));
-                  out.r.push_back(r);
-                  matched = true;
-                }
-              }
-            }
-          }
-          if (!matched && type == JoinType::kLeft) {
-            out.l.push_back(static_cast<uint32_t>(l));
-            out.r.push_back(-1);
-          }
+          emit(l, AnyKeyNull(lcols, l) ? kChainEnd : chain_of(l));
         }
         return Status::OK();
       }));

@@ -206,28 +206,6 @@ ColumnPtr TypedCompare(BinOpKind op, const std::vector<T>& l,
   }
 }
 
-uint64_t MixHash(uint64_t h, uint64_t v) {
-  // 64-bit finalizer from MurmurHash3 applied to the combined word.
-  uint64_t x = h ^ (v + kHashSeed + (h << 6) + (h >> 2));
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDULL;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-uint64_t HashBytes(const void* data, size_t len) {
-  // FNV-1a 64.
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 constexpr uint64_t kNullHash = 0x6E756C6C6E756C6CULL;  // "nullnull"
 
 /// One row's hash word, exactly as the plain typed loops in
@@ -706,6 +684,14 @@ bool CellEquals(const Column& a, size_t ai, const Column& b, size_t bi) {
       return ra.col->str_data()[ra.row] == rb.col->str_data()[rb.row];
   }
   return false;
+}
+
+bool KeysEqual(const std::vector<ColumnPtr>& a, size_t ai,
+               const std::vector<ColumnPtr>& b, size_t bi) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (!CellEquals(*a[k], ai, *b[k], bi)) return false;
+  }
+  return true;
 }
 
 int CellCompare(const Column& a, size_t ai, const Column& b, size_t bi) {

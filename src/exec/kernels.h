@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash_index.h"
 #include "common/parallel_for.h"
 #include "common/result.h"
 #include "storage/column.h"
@@ -62,12 +63,15 @@ void HashCombineColumn(const Column& column, std::vector<uint64_t>* hashes);
 void HashCombineColumnRange(const Column& column, size_t begin, size_t end,
                             std::vector<uint64_t>* hashes);
 
-inline constexpr uint64_t kHashSeed = 0x9E3779B97F4A7C15ULL;
-
 /// Compares the same logical cell across two columns (used to resolve hash
 /// collisions in join/group-by). Types must match physically.
 [[nodiscard]] bool CellEquals(const Column& a, size_t ai, const Column& b,
                               size_t bi);
+
+/// Row `ai` of the key columns `a` equals row `bi` of `b` cell by cell —
+/// the key compare behind a hash match in join and group-by.
+[[nodiscard]] bool KeysEqual(const std::vector<ColumnPtr>& a, size_t ai,
+                             const std::vector<ColumnPtr>& b, size_t bi);
 
 /// Three-way comparison of two cells in columns of the same type.
 /// NULLs sort first; returns <0, 0, >0.

@@ -2,9 +2,8 @@
 
 #include <cmath>
 
-#include "common/mutex.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 
 namespace mlcs::ml {
 
@@ -43,9 +42,7 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   std::vector<uint64_t> tree_seeds(num_trees);
   for (auto& s : tree_seeds) s = seeder.NextU64();
 
-  Mutex error_mutex{"RandomForest::Fit error_mutex"};
-  Status first_error = Status::OK();
-  auto fit_one = [&](size_t t) {
+  auto fit_one = [&](size_t t) -> Status {
     DecisionTreeOptions topt;
     topt.max_depth = options_.max_depth;
     topt.min_samples_split = options_.min_samples_split;
@@ -72,25 +69,28 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
     } else {
       for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
     }
-    Status st = tree->FitSourceOnRows(x, codes, std::move(rows), classes_);
-    if (!st.ok()) {
-      MutexLock lock(&error_mutex);
-      if (first_error.ok()) first_error = st;
-      return;
-    }
+    MLCS_RETURN_IF_ERROR(
+        tree->FitSourceOnRows(x, codes, std::move(rows), classes_));
     trees_[t] = std::move(tree);
+    return Status::OK();
   };
 
+  // One tree per handoff on the shared pool. The caller fits trees too, so
+  // a fit inside a pool task (an SQL statement the server runs) cannot
+  // wait on a tree no thread picks up.
+  Status fit_status = Status::OK();
   if (options_.parallel_fit && num_trees > 1) {
-    ThreadPool::Global().ParallelFor(num_trees, fit_one);
+    fit_status = ParallelItems(MorselPolicy{}, num_trees, fit_one);
   } else {
-    for (size_t t = 0; t < num_trees; ++t) fit_one(t);
+    for (size_t t = 0; t < num_trees && fit_status.ok(); ++t) {
+      fit_status = fit_one(t);
+    }
   }
-  if (!first_error.ok()) {
+  if (!fit_status.ok()) {
     trees_.clear();
     classes_.clear();
     Flatten();
-    return first_error;
+    return fit_status;
   }
   Flatten();
   CountTrainingSourceFit(x);

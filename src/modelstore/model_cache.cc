@@ -1,25 +1,18 @@
 #include "modelstore/model_cache.h"
 
+#include "common/hash_index.h"
 #include "ml/pickle.h"
 #include "obs/trace.h"
 
 namespace mlcs::modelstore {
 
-uint64_t ModelCache::HashBytes(const std::string& bytes) {
-  // FNV-1a 64 over the pickled payload. A collision would serve the wrong
-  // model; with 64-bit keys over a handful of cached models the risk is
-  // negligible (and a collision still yields a *valid* model object).
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  h ^= bytes.size();
-  return h;
-}
-
 Result<ml::ModelPtr> ModelCache::Get(const std::string& pickled_bytes) {
-  uint64_t key = HashBytes(pickled_bytes);
+  // Content key: FNV-1a of the pickled payload, XOR its length. A collision
+  // would serve the wrong model; with 64-bit keys over a handful of cached
+  // models the risk is negligible (and a collision still yields a *valid*
+  // model object).
+  uint64_t key = HashBytes(pickled_bytes.data(), pickled_bytes.size()) ^
+                 pickled_bytes.size();
   {
     MutexLock lock(&mutex_);
     auto it = index_.find(key);

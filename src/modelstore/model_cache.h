@@ -41,8 +41,6 @@ class ModelCache {
   static ModelCache& Global();
 
  private:
-  static uint64_t HashBytes(const std::string& bytes);
-
   struct Entry {
     uint64_t key;
     ml::ModelPtr model;

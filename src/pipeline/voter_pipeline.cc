@@ -81,79 +81,16 @@ Result<double> PrecinctShareMae(const Table& predictions,
   return mae / static_cast<double>(rows);
 }
 
-/// Shared by the external channels: client-side wrangle + train + predict
-/// + aggregate, starting from already-loaded voters/precincts frames.
-Result<PipelineResult> RunExternal(dataframe::DataFrame voters,
-                                   dataframe::DataFrame precincts,
-                                   const PipelineConfig& config,
-                                   std::string method,
-                                   double load_seconds) {
-  PipelineResult result;
-  result.method = std::move(method);
-  WallTimer wrangle_timer;
-
-  // Preprocessing (pandas analogue): join, labels, split mask.
-  MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame joined,
-                        voters.Merge(precincts, {"precinct_id"}));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr voter_id, joined.Column("voter_id"));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr dem, joined.Column("dem_votes"));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr rep, joined.Column("rep_votes"));
-  ColumnPtr label = GenerateLabelColumn(*voter_id, *dem, *rep, config.seed);
-  ColumnPtr mask =
-      SplitMaskColumn(*voter_id, config.seed, config.train_fraction);
-  MLCS_RETURN_IF_ERROR(joined.AddColumn("label", label));
-  MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame train_df, joined.Filter(*mask));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr not_mask,
-                        exec::UnaryKernel(exec::UnOpKind::kNot, *mask));
-  MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame test_df,
-                        joined.Filter(*not_mask));
-  result.load_wrangle_seconds = load_seconds + wrangle_timer.ElapsedSeconds();
-
-  // Training.
-  WallTimer train_timer;
-  std::vector<std::string> features = FeatureNames(config);
-  MLCS_ASSIGN_OR_RETURN(ml::Matrix x_train, train_df.ToMatrix(features));
-  MLCS_ASSIGN_OR_RETURN(ml::Labels y_train, train_df.LabelColumn("label"));
-  ml::RandomForestOptions opt;
-  opt.n_estimators = config.n_estimators;
-  opt.max_depth = config.max_depth;
-  opt.seed = config.seed;
-  ml::RandomForest forest(opt);
-  MLCS_RETURN_IF_ERROR(forest.Fit(x_train, y_train));
-  result.train_seconds = train_timer.ElapsedSeconds();
-
-  // Prediction + per-precinct aggregation.
-  WallTimer predict_timer;
-  MLCS_ASSIGN_OR_RETURN(ml::Matrix x_test, test_df.ToMatrix(features));
-  MLCS_ASSIGN_OR_RETURN(ml::Labels pred, forest.Predict(x_test));
-  dataframe::DataFrame pred_df(test_df.table());
-  MLCS_RETURN_IF_ERROR(
-      pred_df.AddColumn("pred", Column::FromInt32(ml::Labels(pred))));
-  MLCS_ASSIGN_OR_RETURN(
-      dataframe::DataFrame aggregated,
-      pred_df.GroupBy({"precinct_id"},
-                      {{exec::AggOp::kSum, "pred", "pred_dem"},
-                       {exec::AggOp::kCountStar, "", "n"}}));
-  result.predict_seconds = predict_timer.ElapsedSeconds();
-
-  result.test_rows = test_df.num_rows();
-  result.precinct_predictions = aggregated.table();
-  MLCS_ASSIGN_OR_RETURN(result.precinct_share_mae,
-                        PrecinctShareMae(*aggregated.table(), config));
-  result.total_seconds = result.load_wrangle_seconds +
-                         result.train_seconds + result.predict_seconds;
-  return result;
-}
-
-/// Post-wrangle tail shared by the channels that receive an already
-/// joined+labelled table (socket and row-cursor): split, train, predict,
-/// aggregate.
+/// Post-wrangle tail shared by every external channel, starting from a
+/// joined table that carries `label` and `is_train`: split, train,
+/// predict, aggregate. The split counts toward the wrangle time.
 Result<PipelineResult> FinishFromWrangled(TablePtr wrangled,
                                           const PipelineConfig& config,
                                           std::string method,
                                           double load_seconds) {
   PipelineResult result;
   result.method = std::move(method);
+  WallTimer split_timer;
   dataframe::DataFrame joined(std::move(wrangled));
   MLCS_ASSIGN_OR_RETURN(ColumnPtr mask_col, joined.Column("is_train"));
   MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame train_df,
@@ -162,7 +99,7 @@ Result<PipelineResult> FinishFromWrangled(TablePtr wrangled,
                         exec::UnaryKernel(exec::UnOpKind::kNot, *mask_col));
   MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame test_df,
                         joined.Filter(*not_mask));
-  result.load_wrangle_seconds = load_seconds;
+  result.load_wrangle_seconds = load_seconds + split_timer.ElapsedSeconds();
 
   WallTimer train_timer;
   std::vector<std::string> features = FeatureNames(config);
@@ -196,6 +133,29 @@ Result<PipelineResult> FinishFromWrangled(TablePtr wrangled,
   result.total_seconds = result.load_wrangle_seconds +
                          result.train_seconds + result.predict_seconds;
   return result;
+}
+
+/// The client-side channels (csv, npy, h5b): the pandas-style wrangle —
+/// join, labels, split mask — on already-loaded frames, then the shared
+/// tail.
+Result<PipelineResult> RunExternal(dataframe::DataFrame voters,
+                                   dataframe::DataFrame precincts,
+                                   const PipelineConfig& config,
+                                   std::string method,
+                                   double load_seconds) {
+  WallTimer wrangle_timer;
+  MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame joined,
+                        voters.Merge(precincts, {"precinct_id"}));
+  MLCS_ASSIGN_OR_RETURN(ColumnPtr voter_id, joined.Column("voter_id"));
+  MLCS_ASSIGN_OR_RETURN(ColumnPtr dem, joined.Column("dem_votes"));
+  MLCS_ASSIGN_OR_RETURN(ColumnPtr rep, joined.Column("rep_votes"));
+  MLCS_RETURN_IF_ERROR(joined.AddColumn(
+      "label", GenerateLabelColumn(*voter_id, *dem, *rep, config.seed)));
+  MLCS_RETURN_IF_ERROR(joined.AddColumn(
+      "is_train",
+      SplitMaskColumn(*voter_id, config.seed, config.train_fraction)));
+  return FinishFromWrangled(joined.table(), config, std::move(method),
+                            load_seconds + wrangle_timer.ElapsedSeconds());
 }
 
 /// Factorized wrangle (DESIGN.md §14): the dimension table's only

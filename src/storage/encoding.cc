@@ -1,11 +1,13 @@
 #include "storage/encoding.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <numeric>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/hash_index.h"
 #include "common/settings.h"
 #include "obs/metrics.h"
 
@@ -39,6 +41,17 @@ obs::Counter* CodePathHitsCounter() {
   return counter;
 }
 
+/// Hash of one value: the word exec::HashCombineColumnRange mixes for it
+/// (integers sign-extended, strings through HashBytes), mixed into the seed.
+template <typename T>
+uint64_t ValueHash(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return MixHash(kHashSeed, HashBytes(v.data(), v.size()));
+  } else {
+    return MixHash(kHashSeed, static_cast<uint64_t>(static_cast<int64_t>(v)));
+  }
+}
+
 /// Profiles and encodes one typed payload. Returns nullptr when neither
 /// encoding clears the policy thresholds — the caller keeps the plain
 /// column. `make_col` turns a std::vector<T> back into a plain column of
@@ -58,21 +71,31 @@ ColumnPtr EncodeTypedImpl(const Column& column, const std::vector<T>& v,
     if (a_null || b_null) return a_null && b_null;
     return v[a] == v[b];
   };
-  // One profiling pass: run count plus distinct non-null values, aborting
-  // the distinct set once it is provably over the dictionary cap.
+  // One profiling pass: run count plus first-seen ids of the distinct
+  // non-null values (`first_row[id]` holds the value, `ids[i]` row i's
+  // id), abandoned once the distinct count is provably over the cap.
   size_t runs = 1;
-  bool too_many_distinct = false;
-  std::unordered_set<T> seen;
-  if (dict_eligible && !row_null(0)) seen.insert(v[0]);
-  for (size_t i = 1; i < n; ++i) {
-    if (!rows_equal(i - 1, i)) ++runs;
-    if (dict_eligible && !too_many_distinct && !row_null(i)) {
-      seen.insert(v[i]);
-      if (seen.size() > policy.max_dict_size) {
-        too_many_distinct = true;  // spill to plain; stop paying for the set
-        seen.clear();
+  bool dict_possible = dict_eligible;
+  HashIndex index;
+  std::vector<uint32_t> first_row;
+  std::vector<uint32_t> ids;
+  if (dict_eligible) ids.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && !rows_equal(i - 1, i)) ++runs;
+    if (!dict_possible || row_null(i)) continue;
+    uint32_t id = index.FindOrInsert(
+        ValueHash(v[i]), [&](uint32_t k) { return v[first_row[k]] == v[i]; });
+    if (id == first_row.size()) {
+      first_row.push_back(static_cast<uint32_t>(i));
+      if (first_row.size() > policy.max_dict_size) {
+        dict_possible = false;  // spill to plain; stop paying for the ids
+        index = HashIndex();
+        first_row = {};
+        ids = {};
+        continue;
       }
     }
+    ids[i] = id;
   }
   if (runs <= static_cast<size_t>(static_cast<double>(n) *
                                   policy.max_run_fraction)) {
@@ -97,20 +120,25 @@ ColumnPtr EncodeTypedImpl(const Column& column, const std::vector<T>& v,
     return rle.ok() ? rle.ValueOrDie() : nullptr;
   }
   size_t non_null = n - column.null_count();
-  if (dict_eligible && !too_many_distinct &&
-      seen.size() <= static_cast<size_t>(static_cast<double>(non_null) *
-                                         policy.max_dict_fraction)) {
-    // Dictionary: sorted unique values, dense codes per row.
-    std::vector<T> uniq(seen.begin(), seen.end());
-    std::sort(uniq.begin(), uniq.end());
-    std::unordered_map<T, uint32_t> code_of;
-    code_of.reserve(uniq.size());
-    for (size_t i = 0; i < uniq.size(); ++i) {
-      code_of.emplace(uniq[i], static_cast<uint32_t>(i));
+  if (dict_possible &&
+      first_row.size() <= static_cast<size_t>(static_cast<double>(non_null) *
+                                              policy.max_dict_fraction)) {
+    // Dictionary: sorted unique values; each row's code is its id's rank.
+    std::vector<uint32_t> order(first_row.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return v[first_row[a]] < v[first_row[b]];
+    });
+    std::vector<T> uniq;
+    uniq.reserve(order.size());
+    std::vector<uint32_t> rank(order.size());
+    for (size_t r = 0; r < order.size(); ++r) {
+      uniq.push_back(v[first_row[order[r]]]);
+      rank[order[r]] = static_cast<uint32_t>(r);
     }
-    std::vector<uint32_t> codes(n, 0);
+    std::vector<uint32_t> codes = std::move(ids);
     for (size_t i = 0; i < n; ++i) {
-      if (!row_null(i)) codes[i] = code_of.find(v[i])->second;
+      codes[i] = row_null(i) ? 0 : rank[codes[i]];
     }
     std::vector<uint8_t> validity;
     if (valid != nullptr) validity.assign(valid, valid + n);

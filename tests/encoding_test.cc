@@ -29,15 +29,20 @@ std::string TempDirFor(const std::string& name) {
   return dir;
 }
 
-/// Low-cardinality int32 column (voter-shaped: `rows` rows, 8 distinct),
-/// with a null every 13th row.
-ColumnPtr MakeCategorical(size_t rows) {
-  auto col = Column::Make(TypeId::kInt32);
+/// Low-cardinality column (voter-shaped: `rows` rows, 8 distinct), with a
+/// null every 13th row; int32 unless another type is asked for.
+ColumnPtr MakeCategorical(size_t rows, TypeId type = TypeId::kInt32) {
+  auto col = Column::Make(type);
   for (size_t i = 0; i < rows; ++i) {
+    int32_t v = static_cast<int32_t>((i * 7) % 8);
     if (i % 13 == 4) {
       col->AppendNull();
+    } else if (type == TypeId::kInt64) {
+      col->AppendInt64(int64_t{v} * 1000000007 - 3);
+    } else if (type == TypeId::kVarchar) {
+      col->AppendString("precinct-" + std::to_string(7 - v));
     } else {
-      col->AppendInt32(static_cast<int32_t>((i * 7) % 8));
+      col->AppendInt32(v);
     }
   }
   return col;
@@ -53,17 +58,32 @@ ColumnPtr MakeRunHeavy(size_t rows) {
 }
 
 TEST(EncodingTest, DictionaryRoundTrip) {
-  ColumnPtr plain = MakeCategorical(512);
-  ColumnPtr encoded = EncodeColumn(plain, EncodingPolicy());
-  ASSERT_EQ(encoded->encoding(), ColumnEncoding::kDict);
-  EXPECT_TRUE(encoded->dict_sorted());
-  EXPECT_EQ(encoded->size(), plain->size());
-  EXPECT_TRUE(encoded->Equals(*plain));
-  ColumnPtr decoded = encoded->Decode();
-  EXPECT_EQ(decoded->encoding(), ColumnEncoding::kPlain);
-  EXPECT_TRUE(decoded->Equals(*plain));
-  // Codes beat the plain payload on bytes — that is the point.
-  EXPECT_LT(encoded->ByteSize(), plain->ByteSize());
+  for (TypeId type : {TypeId::kInt32, TypeId::kInt64, TypeId::kVarchar}) {
+    SCOPED_TRACE(TypeIdToString(type));
+    ColumnPtr plain = MakeCategorical(512, type);
+    ColumnPtr encoded = EncodeColumn(plain, EncodingPolicy());
+    ASSERT_EQ(encoded->encoding(), ColumnEncoding::kDict);
+    EXPECT_TRUE(encoded->dict_sorted());
+    EXPECT_EQ(encoded->dict()->size(), 8u);
+    EXPECT_EQ(encoded->size(), plain->size());
+    EXPECT_EQ(encoded->null_count(), plain->null_count());
+    EXPECT_TRUE(encoded->Equals(*plain));
+    // Each non-null row's code is its value's rank in the sorted
+    // dictionary; null rows carry code 0.
+    for (size_t i = 0; i < plain->size(); ++i) {
+      uint32_t code = encoded->codes()[i];
+      if (plain->IsNull(i)) {
+        EXPECT_EQ(code, 0u);
+      } else {
+        EXPECT_TRUE(exec::CellEquals(*encoded->dict(), code, *plain, i));
+      }
+    }
+    ColumnPtr decoded = encoded->Decode();
+    EXPECT_EQ(decoded->encoding(), ColumnEncoding::kPlain);
+    EXPECT_TRUE(decoded->Equals(*plain));
+    // Codes beat the plain payload on bytes — that is the point.
+    EXPECT_LT(encoded->ByteSize(), plain->ByteSize());
+  }
 }
 
 TEST(EncodingTest, RleRoundTrip) {
@@ -210,8 +230,8 @@ TEST(EncodingTest, KernelsMatchPlainOnEncodedInputs) {
     }
     // Hashes drive group-by/join bucketing: non-null rows must hash the
     // same whichever representation they arrive in.
-    std::vector<uint64_t> h_enc(col->size(), exec::kHashSeed);
-    std::vector<uint64_t> h_ref(col->size(), exec::kHashSeed);
+    std::vector<uint64_t> h_enc(col->size(), kHashSeed);
+    std::vector<uint64_t> h_ref(col->size(), kHashSeed);
     exec::HashCombineColumn(*col, &h_enc);
     exec::HashCombineColumn(*plain, &h_ref);
     for (size_t i = 0; i < col->size(); ++i) {

@@ -16,6 +16,7 @@
 #include "bufpool/zone_map.h"
 #include "client/client.h"
 #include "common/mutex.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "common/settings.h"
 #include "common/thread_pool.h"
@@ -120,9 +121,9 @@ TEST(SanitizerStressTest, ThreadPoolConcurrentSubmitters) {
   EXPECT_EQ(executed.load(), kThreads * kIters);
 }
 
-TEST(SanitizerStressTest, ThreadPoolConcurrentParallelFor) {
-  // Overlapping ParallelFor calls from distinct threads share the worker
-  // queue; each call's chunks must still cover its own range exactly once.
+TEST(SanitizerStressTest, ThreadPoolConcurrentParallelItems) {
+  // Overlapping ParallelItems calls from distinct threads share the worker
+  // queue; each call's items must still cover its own range exactly once.
   ThreadPool pool(3);
   std::vector<std::thread> drivers;
   std::atomic<int> failures{0};
@@ -130,8 +131,13 @@ TEST(SanitizerStressTest, ThreadPoolConcurrentParallelFor) {
     drivers.emplace_back([&] {
       for (int i = 0; i < 8; ++i) {
         std::vector<std::atomic<int>> hits(512);
-        pool.ParallelFor(hits.size(),
-                         [&hits](size_t j) { hits[j].fetch_add(1); });
+        MorselPolicy policy;
+        policy.pool = &pool;
+        Status st = ParallelItems(policy, hits.size(), [&hits](size_t j) {
+          hits[j].fetch_add(1);
+          return Status::OK();
+        });
+        if (!st.ok()) failures.fetch_add(1);
         for (auto& h : hits) {
           if (h.load() != 1) failures.fetch_add(1);
         }

@@ -5,8 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <numeric>
 #include <vector>
+
+#include "common/parallel_for.h"
 
 namespace mlcs {
 namespace {
@@ -30,58 +31,48 @@ TEST(ThreadPoolTest, ManyTasksAllRun) {
   EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+MorselPolicy OnPool(ThreadPool* pool) {
+  MorselPolicy policy;
+  policy.pool = pool;
+  return policy;
+}
+
+TEST(ThreadPoolTest, ParallelItemsCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
+  Status st = ParallelItems(OnPool(&pool), hits.size(), [&](size_t i) {
+    hits[i].fetch_add(1);
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok());
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForZeroCountIsNoop) {
+TEST(ThreadPoolTest, ParallelItemsZeroCountIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.ParallelFor(0, [&](size_t) { called = true; });
+  Status st = ParallelItems(OnPool(&pool), 0, [&](size_t) {
+    called = true;
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok());
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, ParallelForChunksPartitionIsExact) {
-  ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<size_t, size_t>> ranges;
-  pool.ParallelForChunks(103, 4, [&](size_t, size_t begin, size_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    ranges.emplace_back(begin, end);
-  });
-  std::sort(ranges.begin(), ranges.end());
-  size_t expected_begin = 0;
-  for (auto [begin, end] : ranges) {
-    EXPECT_EQ(begin, expected_begin);
-    EXPECT_GT(end, begin);
-    expected_begin = end;
-  }
-  EXPECT_EQ(expected_begin, 103u);
-}
-
-TEST(ThreadPoolTest, ChunkCountClampedToWork) {
-  ThreadPool pool(8);
-  std::atomic<int> chunks{0};
-  pool.ParallelForChunks(3, 8, [&](size_t, size_t, size_t) {
-    chunks.fetch_add(1);
-  });
-  EXPECT_LE(chunks.load(), 3);
-  EXPECT_GE(chunks.load(), 1);
-}
-
-/// A ParallelFor issued from inside every worker of the pool completes:
-/// callers run chunks themselves instead of waiting on queued ones (the
+/// ParallelItems issued from inside every worker of the pool completes:
+/// callers run items themselves instead of waiting on queued ones (the
 /// server runs SQL statements, which may fit forests, as pool tasks).
-TEST(ThreadPoolTest, ParallelForNestedInEveryWorkerCompletes) {
+TEST(ThreadPoolTest, ParallelItemsNestedInEveryWorkerCompletes) {
   ThreadPool pool(2);
   std::atomic<int> hits{0};
   std::vector<std::future<void>> outer;
   for (int w = 0; w < 2; ++w) {
     outer.push_back(pool.Submit([&pool, &hits] {
-      pool.ParallelFor(16, [&hits](size_t) { hits.fetch_add(1); });
+      Status st = ParallelItems(OnPool(&pool), 16, [&hits](size_t) {
+        hits.fetch_add(1);
+        return Status::OK();
+      });
+      EXPECT_TRUE(st.ok());
     }));
   }
   for (auto& f : outer) {
@@ -93,7 +84,11 @@ TEST(ThreadPoolTest, ParallelForNestedInEveryWorkerCompletes) {
 
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {
   std::atomic<int> counter{0};
-  ThreadPool::Global().ParallelFor(10, [&](size_t) { counter.fetch_add(1); });
+  Status st = ParallelItems(MorselPolicy{}, 10, [&](size_t) {
+    counter.fetch_add(1);
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok());
   EXPECT_EQ(counter.load(), 10);
 }
 

@@ -101,6 +101,11 @@ Rules
                         DESIGN.md §18): one grammar, read at first use,
                         surfaced as mlcs_settings(). A new knob becomes an
                         entry there, not a parser of its own.
+  node-hash-map         `std::unordered_map` / `std::unordered_set` under
+                        src/exec/ or src/storage/. Column values hash
+                        through the one flat index (common/hash_index.h:
+                        group-by, hash join, dictionary build); a
+                        node-based map there pays one allocation per key.
   adhoc-stats           Declaring a `struct <Name>Stats` outside src/obs/ —
                         new counters belong on the metrics registry
                         (obs::MetricsRegistry, `mlcs.<subsystem>.<series>`)
@@ -680,6 +685,25 @@ def check_getenv(path, relpath, lines):
                "knob here")
 
 
+NODE_HASH_MAP_RE = re.compile(r"\bunordered_(?:map|set)\b")
+NODE_HASH_MAP_DIRS = ("src/exec/", "src/storage/")
+
+
+def check_node_hash_map(path, relpath, lines):
+    rel = relpath.replace(os.sep, "/")
+    if not rel.startswith(NODE_HASH_MAP_DIRS):
+        return
+    for i, raw in enumerate(lines):
+        line = strip_comments_and_strings(raw)
+        if not NODE_HASH_MAP_RE.search(line):
+            continue
+        if allowed(raw, "node-hash-map"):
+            continue
+        report(path, i + 1, "node-hash-map",
+               "node-based hash container in the column-value layer; use "
+               "the shared flat index (common/hash_index.h) instead")
+
+
 ADHOC_STATS_RE = re.compile(r"^\s*struct\s+\w*Stats\b")
 
 
@@ -735,6 +759,7 @@ def lint_file(path, headers):
     check_matrix_materialize(path, relpath, lines)
     check_adhoc_stats(path, relpath, lines)
     check_getenv(path, relpath, lines)
+    check_node_hash_map(path, relpath, lines)
     check_signal_unsafe(path, relpath, lines)
 
 
